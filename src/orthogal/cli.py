@@ -422,7 +422,8 @@ def dispatch(argv) -> tuple[int, dict | None]:
     elapsed = round(1000 * (time.monotonic() - start), 3)
     report = make_report(args.command, argv, getattr(args, "seed", None),
                          payload, elapsed_ms=elapsed if args.timing else None)
-    assert report_schema_validate(report)
+    if not report_schema_validate(report):
+        raise RuntimeError("report does not match the v1 schema")
     return code, report
 
 

@@ -19,6 +19,7 @@ loops cheap; the Fq object carries all the arithmetic.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 
 
 class SquareClass:
@@ -67,17 +68,21 @@ ZERO_CLASS = SquareClass("Zero")
 
 
 def _is_prime(n: int) -> bool:
+    """Deterministic trial division: the package's one primality test."""
     if n < 2:
         return False
     for d in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         if n % d == 0:
             return n == d
-    d = 37
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return all(n % d for d in range(37, isqrt(n) + 1, 2))
+
+
+# -- the F_p list-polynomial kernel ------------------------------------------
+#
+# Polynomials over a prime field F_p as int lists in ascending order.
+# This is the package's one mod-p polynomial kernel: Fq.mul, the
+# batched factor-degree gcd chain and the modular resultant all run on
+# it.  Inputs may be unreduced ints; outputs are reduced mod p.
 
 
 def _poly_mul_mod_p(a, b, p):
@@ -91,7 +96,10 @@ def _poly_mul_mod_p(a, b, p):
 
 
 def _poly_rem_mod_p(a, m, p):
-    """Remainder of a modulo the monic polynomial m, over F_p."""
+    """Remainder of a modulo the monic polynomial m, over F_p.
+
+    Returned with exactly deg(m) coefficients (high zeros kept).
+    """
     a = list(a)
     dm = len(m) - 1
     for i in range(len(a) - 1, dm - 1, -1):
@@ -103,45 +111,46 @@ def _poly_rem_mod_p(a, m, p):
     return [c % p for c in a[:dm]]
 
 
-def _is_irreducible_mod_p(m, p):
-    """Irreducibility of a monic polynomial m over F_p (Rabin's test)."""
-    e = len(m) - 1
-    if e == 1:
-        return True
+def _trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
 
-    def powq(base):
-        # base^p modulo m via square-and-multiply
-        result = [1]
-        b = list(base)
-        n = p
-        while n:
-            if n & 1:
-                result = _poly_rem_mod_p(_poly_mul_mod_p(result, b, p), m, p)
-            n >>= 1
-            if n:
-                b = _poly_rem_mod_p(_poly_mul_mod_p(b, b, p), m, p)
-        return result
 
-    # x^(p^k) mod m for k = 1..e
-    frob = [0, 1]
-    powers = {}
-    for k in range(1, e + 1):
-        frob = powq(frob)
-        powers[k] = list(frob)
-    # x^(p^e) must equal x
-    fe = powers[e] + [0] * max(0, 2 - len(powers[e]))
-    if any(c % p != (1 if i == 1 else 0) for i, c in enumerate(fe)):
-        return False
-    # gcd(x^(p^(e/r)) - x, m) must be 1 for every prime r | e
-    for r in set(_prime_factors(e)):
-        k = e // r
-        diff = list(powers[k])
-        if len(diff) < 2:
-            diff = diff + [0] * (2 - len(diff))
-        diff[1] = (diff[1] - 1) % p
-        if _poly_gcd_deg_mod_p(m, diff, p) > 0:
-            return False
-    return True
+def _poly_gcd_mod_p(a, b, p):
+    """Monic gcd of a and b over F_p, trimmed ([] when both are zero)."""
+    a = _trim([c % p for c in a])
+    b = _trim([c % p for c in b])
+    while b:
+        # a %= b in place; a[-1] stays nonzero after each trim
+        db = len(b) - 1
+        inv = pow(b[-1], -1, p)
+        while len(a) > db:
+            c = (a[-1] * inv) % p
+            off = len(a) - 1 - db
+            for j in range(db):
+                a[off + j] = (a[off + j] - c * b[j]) % p
+            a.pop()
+            _trim(a)
+        a, b = b, a
+    if a:
+        inv = pow(a[-1], -1, p)
+        a = [(c * inv) % p for c in a]
+    return a
+
+
+def _poly_exact_div_mod_p(a, b, p):
+    """Quotient a / b over F_p, assuming b divides a exactly."""
+    a = [c % p for c in a]
+    out = [0] * (len(a) - len(b) + 1)
+    inv = pow(b[-1], -1, p)
+    for i in range(len(out) - 1, -1, -1):
+        c = (a[i + len(b) - 1] * inv) % p
+        out[i] = c
+        if c:
+            for j in range(len(b)):
+                a[i + j] = (a[i + j] - c * b[j]) % p
+    return out
 
 
 def _prime_factors(n):
@@ -157,30 +166,6 @@ def _prime_factors(n):
     return out
 
 
-def _poly_gcd_deg_mod_p(a, b, p):
-    """Degree of gcd(a, b) over F_p (only the degree is needed)."""
-    a = [c % p for c in a]
-    b = [c % p for c in b]
-
-    def deg(u):
-        for i in range(len(u) - 1, -1, -1):
-            if u[i]:
-                return i
-        return -1
-
-    da, db = deg(a), deg(b)
-    while db >= 0:
-        inv = pow(b[db], p - 2, p)
-        while da >= db:
-            c = (a[da] * inv) % p
-            if c:
-                for j in range(db + 1):
-                    a[da - db + j] = (a[da - db + j] - c * b[j]) % p
-            da = deg(a)
-        a, b, da, db = b, a, db, da
-    return da
-
-
 @lru_cache(maxsize=None)
 def conway_like_modulus(p: int, e: int) -> tuple:
     """Lexicographically least monic irreducible of degree e over F_p.
@@ -189,7 +174,11 @@ def conway_like_modulus(p: int, e: int) -> tuple:
     leading coefficient 1.  Cached per (p, e) so every field object for
     the same parameters shares one modulus.
     """
-    assert e >= 2
+    from .poly import Poly, is_irreducible   # poly imports this module
+
+    if e < 2:
+        raise ValueError("extension degree must be >= 2")
+    F = get_field(p)
     # iterate over constant-first tuples in lexicographic order
     for code in range(p ** e):
         coeffs = []
@@ -200,7 +189,7 @@ def conway_like_modulus(p: int, e: int) -> tuple:
         m = coeffs + [1]
         if m[0] == 0:
             continue  # divisible by x
-        if _is_irreducible_mod_p(m, p):
+        if is_irreducible(Poly(m, F)):
             return tuple(m)
     raise RuntimeError("no irreducible modulus found")  # unreachable
 

@@ -23,10 +23,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NotReciprocalError, NotSeparableError
+from .errors import NotSeparableError
+from .ffield import _poly_exact_div_mod_p, _poly_gcd_mod_p
 from .poly import Poly, discriminant
-from .recpoly import (strip, to_trace_form, classify_H, classes_from_degrees,
-                      StrippedPoly)
+from .recpoly import strip, to_trace_form, classes_from_degrees
 from .signedperm import class_statistics
 
 
@@ -58,9 +58,15 @@ def primes_up_to(bound: int):
 # cheap gcd chains that read off the factor degrees stay per-row.
 
 
-# Inputs stay reduced below their row modulus m < 2^17, so products fit
-# in int64 with room to accumulate ~2^16 terms before reducing; the
-# helpers defer the % to one pass per call.
+# Overflow: inputs stay reduced into [0, l) for their row prime l, and
+# every int64 accumulation sums at most d products of two such values
+# before the next reduction (d = deg f; Frobenius rows hold d coefficients):
+#   * _vec_polymul: an output coefficient sums <= d products;
+#   * _vec_polymod: a coefficient is lowered by <= d products c * F[j];
+#   * the einsum: each entry sums d products.
+# So every intermediate is bounded in size by d (l - 1)^2, and the
+# kernel is exact when d (l - 1)^2 < 2^63; batch_factor_degrees refuses
+# larger primes.
 
 
 def _vec_polymul(A, B, m):
@@ -122,80 +128,23 @@ def _batch_frobenius_chains(C, primes, kmax):
     return out
 
 
-# -- tiny per-row helpers on int-list polynomials mod l ---------------------
-
-
-def _trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _row_mod(a, b, ell):
-    """Remainder of a modulo b over F_l (b nonzero)."""
-    a = [c % ell for c in a]
-    _trim(a)
-    db = len(b) - 1
-    inv = pow(b[-1], -1, ell)
-    while len(a) - 1 >= db:
-        c = (a[-1] * inv) % ell
-        shift = len(a) - 1 - db
-        if c:
-            for j in range(db + 1):
-                a[shift + j] = (a[shift + j] - c * b[j]) % ell
-        a.pop()
-        _trim(a)
-    return a
-
-
-def _row_gcd(a, b, ell):
-    a = _trim([c % ell for c in list(a)])
-    b = _trim([c % ell for c in list(b)])
-    while b:
-        # a %= b, in place
-        db = len(b) - 1
-        inv = pow(b[-1], -1, ell)
-        while len(a) > db:
-            c = (a[-1] * inv) % ell
-            if c:
-                off = len(a) - 1 - db
-                for j in range(db):
-                    a[off + j] = (a[off + j] - c * b[j]) % ell
-            a.pop()
-            _trim(a)
-        a, b = b, a
-    if a:
-        inv = pow(a[-1], -1, ell)
-        a = [(c * inv) % ell for c in a]
-    return a
-
-
-def _row_exact_div(a, b, ell):
-    """Quotient a / b over F_l, assuming exact divisibility."""
-    a = [c % ell for c in list(a)]
-    out = [0] * (len(a) - len(b) + 1)
-    inv = pow(b[-1], -1, ell)
-    for i in range(len(out) - 1, -1, -1):
-        c = (a[i + len(b) - 1] * inv) % ell
-        out[i] = c
-        if c:
-            for j in range(len(b)):
-                a[i + j] = (a[i + j] - c * b[j]) % ell
-    return out
-
-
 def batch_factor_degrees(int_coeffs, primes):
     """Factor degree multisets of one integer polynomial mod many primes.
 
     Returns a list parallel to primes; entry is the sorted tuple of
     irreducible factor degrees with multiplicity, or None when the
     reduction is degenerate (leading coefficient vanishes or the
-    reduction is not squarefree).
+    reduction is not squarefree).  Raises ValueError when a prime is
+    too large for exact int64 arithmetic at this degree.
     """
-    primes = np.asarray(primes, dtype=np.int64)
     d = len(int_coeffs) - 1
     if d < 1:
         raise ValueError("need positive degree")
+    max_prime = 1 + math.isqrt((2 ** 63 - 1) // d)   # see the overflow note
+    if len(primes) and max(int(ell) for ell in primes) > max_prime:
+        raise ValueError(f"primes above {max_prime} would overflow the "
+                         f"int64 kernel at degree {d}")
+    primes = np.asarray(primes, dtype=np.int64)
     results: list = [None] * len(primes)
     lc = int_coeffs[-1]
     # degenerate primes: vanishing leading coefficient, or a repeated
@@ -228,13 +177,11 @@ def batch_factor_degrees(int_coeffs, primes):
                 break
             s = [int(c) for c in chains[k - 1, pos]]
             s[1] = (s[1] - 1) % ell  # x^(l^k) - x
-            if len(rem) - 1 < d:
-                s = _row_mod(s, rem, ell)
-            g = _row_gcd(s, rem, ell)
+            g = _poly_gcd_mod_p(s, rem, ell)
             dg = len(g) - 1
             if dg > 0:
                 degs.extend([k] * (dg // k))
-                rem = _row_exact_div(rem, g, ell)
+                rem = _poly_exact_div_mod_p(rem, g, ell)
         if len(rem) - 1 > 0:
             degs.append(len(rem) - 1)
         results[idx] = tuple(sorted(degs))
@@ -265,11 +212,6 @@ def _clear_denominators(poly: Poly):
     for c in cs:
         den = den * c.denominator // math.gcd(den, c.denominator)
     return [int(c * den) for c in cs], den
-
-
-def _reduce_mod(int_coeffs, den, ell, field):
-    inv = pow(den % ell, -1, ell)
-    return Poly([(c * inv) % ell for c in int_coeffs], field)
 
 
 def is_perfect_square(x: Fraction) -> bool:
@@ -380,22 +322,6 @@ class GaloisCertificate:
     reason: str = ""
     prime_budget: int = 0
     normalization: str = "monic over Q; denominators cleared per prime"
-
-
-def _witness_classes_mod(fmod: Poly, budget8: int = 8):
-    """Class indices i with fmod in the i-th family over its field."""
-    if not fmod.is_squarefree():
-        return set()
-    if fmod.eval_int(1) == 0 or fmod.eval_int(-1) == 0:
-        return set()
-    try:
-        h = to_trace_form(fmod).h
-    except NotReciprocalError:
-        return set()
-    from .poly import factor_degrees
-    if len(factor_degrees(fmod)) > budget8:
-        return set()
-    return classify_H(h)
 
 
 def classify(P: Poly, prime_budget: int = 10 ** 4) -> GaloisCertificate:

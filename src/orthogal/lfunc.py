@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .ffield import Fq, get_field, conway_like_modulus
-from .galclass import classify, _squarefree_part, is_perfect_square
+from .galclass import (classify, group_constraint, _squarefree_part,
+                       is_perfect_square)
 from .poly import Poly, discriminant, factor
 
 #: Sentinel naming the place at infinity (uniformizer 1/t).
@@ -843,12 +844,8 @@ class SurveyReport:
 
 def twist_target_group(N_d: int, epsilon: int, D_d: int) -> str:
     """The predicted Galois group of one twist's P_u."""
-    if N_d % 2 == 1:
-        return f"W{N_d - 1}"
-    if epsilon == -1:
-        return f"W{N_d - 2}"
-    plus = is_perfect_square(Fraction((-1) ** (N_d // 2) * D_d))
-    return f"W{N_d}+" if plus else f"W{N_d}"
+    return group_constraint(N_d, epsilon, k_rational=is_perfect_square(
+        Fraction((-1) ** (N_d // 2) * D_d)))
 
 
 def survey_delta(E: FqTCurve, d: int, n: int = 1, sample: int | None = None,

@@ -18,7 +18,7 @@ import random
 from fractions import Fraction
 from math import gcd as int_gcd, isqrt, prod
 
-from .ffield import Fq, get_field
+from .ffield import Fq, get_field, _is_prime, _poly_rem_mod_p, _prime_factors
 
 
 class Poly:
@@ -336,10 +336,7 @@ def _res_primes(count):
     global _RES_PRIMES
     cand = _RES_PRIMES[-1] + 2 if _RES_PRIMES else (1 << 30) + 3
     while len(_RES_PRIMES) < count:
-        while True:
-            is_p = all(cand % d for d in range(3, isqrt(cand) + 1, 2))
-            if is_p:
-                break
+        while not _is_prime(cand):
             cand += 2
         _RES_PRIMES.append(cand)
         cand += 2
@@ -365,15 +362,9 @@ def _resultant_mod(fc, gc, p):
     while True:
         if db == 0:
             return (res * pow(b[0], da, p)) % p
-        # remainder of a modulo b
-        inv = pow(b[db], p - 2, p)
-        r = list(a)
-        for i in range(da, db - 1, -1):
-            c = (r[i] * inv) % p
-            if c:
-                r[i] = 0
-                for j in range(db):
-                    r[i - db + j] = (r[i - db + j] - c * b[j]) % p
+        # a mod b equals a mod the monic b / lc(b)
+        inv = pow(b[db], -1, p)
+        r = _poly_rem_mod_p(a, [(c * inv) % p for c in b], p)
         dr = deg(r)
         if dr < 0:
             return 0
@@ -471,11 +462,6 @@ def discriminant(f: Poly):
         return val
     val = F.div(r, f.lc)
     return F.neg(val) if sign < 0 else val
-
-
-def disc_and_resultant(f: Poly, g: Poly):
-    """(Res(f,g), disc(f)) as exact scalars."""
-    return resultant(f, g), discriminant(f)
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +638,6 @@ def is_irreducible(f: Poly) -> bool:
         powers[k] = frob
     if powers[n] != x % f:
         return False
-    from .ffield import _prime_factors
     for r in set(_prime_factors(n)):
         if f.gcd(powers[n // r] - x).degree > 0:
             return False

@@ -28,7 +28,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceededError, NotReciprocalError
-from .ffield import Fq, get_field, SquareClass, SQUARE, NONSQUARE, ZERO_CLASS
+from .ffield import (Fq, get_field, SquareClass, SQUARE, NONSQUARE, ZERO_CLASS,
+                     _is_prime, _prime_factors)
 from .poly import Poly, factor_degrees, is_irreducible
 
 
@@ -174,17 +175,6 @@ def disc_identity(f: Poly):
 # ---------------------------------------------------------------------------
 
 
-def _is_prime_int(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def in_P_n(h: Poly) -> bool:
     """Membership in the base set: monic, separable, h(2) h(-2) != 0."""
     if not h.is_monic() or h.degree < 1:
@@ -211,7 +201,7 @@ def classes_from_degrees(hdeg, fdeg) -> set:
     out = set()
     if hdeg == [n]:
         out.add(1)
-    if any(_is_prime_int(d) and 2 * d > n for d in hdeg):
+    if any(_is_prime(d) and 2 * d > n for d in hdeg):
         out.add(2)
     if hdeg.count(2) == 1 and all(d % 2 == 1 for d in hdeg if d != 2):
         out.add(3)
@@ -362,6 +352,14 @@ def _shift_codes(B: Fq, all_codes, c0: int):
     return out
 
 
+def _odd_prime_power(q: int) -> tuple[int, int]:
+    """(p, e) with q = p^e for an odd prime p; ValueError otherwise."""
+    factors = _prime_factors(q)
+    if not factors or factors[0] == 2 or len(set(factors)) != 1:
+        raise ValueError("q must be an odd prime power")
+    return factors[0], len(factors)
+
+
 def count_irreducible_classes(q: int, m: int, budget: int = 10 ** 6) -> IrreducibleCountTable:
     """Exact bucket counts of monic irreducible degree-m h over F_q with
     h(2) h(-2) != 0, keyed by the square classes of (h(2), h(-2)).
@@ -374,17 +372,7 @@ def count_irreducible_classes(q: int, m: int, budget: int = 10 ** 6) -> Irreduci
     """
     if q ** m > budget:
         raise BudgetExceededError(f"q^m = {q ** m} exceeds budget {budget}")
-    from .ffield import _prime_factors, _is_prime
-
-    # q = p^e
-    p = next(r for r in _prime_factors(q))
-    e = 0
-    qq = q
-    while qq > 1:
-        qq //= p
-        e += 1
-    if p ** e != q or p == 2:
-        raise ValueError("q must be an odd prime power")
+    p, e = _odd_prime_power(q)
     F = get_field(p, e)
     if m == 1:
         counts = _count_m1(F)
@@ -400,7 +388,6 @@ def count_irreducible_classes(q: int, m: int, budget: int = 10 ** 6) -> Irreduci
     # F_{q^d}; the nonzero part of F_{q^d} is the subgroup of index
     # (Q-1)/(q^d-1)
     full = np.ones(Q - 1, dtype=bool)
-    md = m
     for r in set(_prime_factors(m)):
         d = m // r
         idx = (Q - 1) // (q ** d - 1)
@@ -419,7 +406,8 @@ def count_irreducible_classes(q: int, m: int, budget: int = 10 ** 6) -> Irreduci
     }
     counts = {}
     for k, c in raw.items():
-        assert c % m == 0, "orbit counts must divide evenly"
+        if c % m:
+            raise ArithmeticError(f"orbit count {c} is not divisible by m = {m}")
         counts[k] = c // m
     devs = {k: abs(4 * m * c - q ** m) for k, c in counts.items()}
     return IrreducibleCountTable(q, m, counts, devs, B.modulus)
@@ -429,14 +417,7 @@ def count_irreducible_classes_direct(q: int, m: int) -> dict:
     """Independent oracle: enumerate all monic degree-m polynomials over
     F_q directly, test irreducibility, and bucket.  Exponential in m;
     intended for cross-checks on small cells."""
-    from .ffield import _prime_factors
-
-    p = next(r for r in _prime_factors(q))
-    e = 0
-    qq = q
-    while qq > 1:
-        qq //= p
-        e += 1
+    p, e = _odd_prime_power(q)
     F = get_field(p, e)
     counts = {k: 0 for k in _BUCKETS}
     for code in range(q ** m):

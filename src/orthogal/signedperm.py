@@ -18,6 +18,7 @@ from fractions import Fraction
 from itertools import permutations, product as iter_product
 
 from .errors import BudgetExceededError
+from .ffield import _is_prime
 
 
 class SignedPerm:
@@ -213,17 +214,6 @@ class CriterionResult:
     status: str                 # "BigWithWitnesses" or "Inconclusive"
     witnesses: WitnessSet
     elements_scanned: int
-
-
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _witness_roles(g: SignedPerm, n: int):

@@ -97,6 +97,21 @@ def test_error_exit_code_and_payload():
     assert "ValueError" in report2["payload"]["error"]
 
 
+@pytest.mark.parametrize("q", ["1", "0", "-3"])
+def test_count_irred_rejects_non_prime_powers(q):
+    code, report = dispatch(["count-irred", "--q", q, "--m", "2"])
+    assert code == 1
+    assert report["payload"]["error"].startswith("ValueError")
+    assert report_schema_validate(report)
+
+
+def test_invalid_report_raises(monkeypatch):
+    import orthogal.cli as cli
+    monkeypatch.setattr(cli, "report_schema_validate", lambda report: False)
+    with pytest.raises(RuntimeError):
+        dispatch(SMOKE_ARGS["hodge"])
+
+
 def test_usage_exit_code():
     code, report = dispatch(["no-such-command"])
     assert code == 64 and report is None

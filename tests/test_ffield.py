@@ -6,8 +6,8 @@ import random
 import pytest
 
 from orthogal.ffield import (Fq, get_field, conway_like_modulus, SquareClass,
-                             SQUARE, NONSQUARE, ZERO_CLASS,
-                             _is_irreducible_mod_p)
+                             SQUARE, NONSQUARE, ZERO_CLASS)
+from orthogal.poly import Poly, is_irreducible
 
 
 FIELDS = [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (3, 3), (5, 2), (7, 2)]
@@ -99,7 +99,7 @@ def test_square_class_group_law():
 def test_conway_like_modulus_is_least_irreducible(p, e):
     m = conway_like_modulus(p, e)
     assert len(m) == e + 1 and m[-1] == 1
-    assert _is_irreducible_mod_p(list(m), p)
+    assert is_irreducible(Poly(m, get_field(p)))
     # nothing lexicographically smaller is irreducible
     code_m = sum(c * p ** i for i, c in enumerate(m[:-1]))
     for code in range(code_m):
@@ -111,7 +111,7 @@ def test_conway_like_modulus_is_least_irreducible(p, e):
         cand = coeffs + [1]
         if cand[0] == 0:
             continue
-        assert not _is_irreducible_mod_p(cand, p), (p, e, cand)
+        assert not is_irreducible(Poly(cand, get_field(p))), (p, e, cand)
 
 
 @pytest.mark.parametrize("p,e", FIELDS)
@@ -154,6 +154,8 @@ def test_bad_parameters_rejected():
         Fq(2)
     with pytest.raises(ValueError):
         Fq(5, 0)
+    with pytest.raises(ValueError):
+        conway_like_modulus(5, 1)
     F = get_field(5)
     with pytest.raises(ZeroDivisionError):
         F.inv(0)

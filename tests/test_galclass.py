@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from orthogal.errors import NotReciprocalError, NotSeparableError
-from orthogal.ffield import get_field
-from orthogal.poly import Poly, factor_degrees
+from orthogal.ffield import get_field, _is_prime
+from orthogal.poly import Poly, discriminant, factor_degrees
 from orthogal.recpoly import trace_lift
 from orthogal.galclass import (primes_up_to, batch_factor_degrees,
                                is_perfect_square, _squarefree_part,
@@ -26,6 +26,19 @@ def test_primes_up_to():
     assert list(primes_up_to(1)) == []
 
 
+def _assert_matches_single_prime(coeffs, primes, results):
+    disc = Fraction(discriminant(Poly(coeffs)))
+    for ell, got in zip(primes, results):
+        degenerate = (coeffs[-1] % ell == 0
+                      or disc.numerator % ell == 0)
+        if degenerate:
+            assert got is None
+            continue
+        F = get_field(ell)
+        fmod = Poly.from_int_coeffs(coeffs, F).monic()
+        assert got == tuple(factor_degrees(fmod)), (coeffs, ell)
+
+
 def test_batch_factor_degrees_matches_single_prime():
     rng = random.Random(3)
     primes = [int(p) for p in primes_up_to(150) if p > 2]
@@ -34,18 +47,35 @@ def test_batch_factor_degrees_matches_single_prime():
         coeffs = [rng.randrange(-20, 21) for _ in range(deg)] + \
             [rng.choice([1, 2, 3, -1])]
         results = batch_factor_degrees(coeffs, primes)
-        f = Poly(coeffs)
-        from orthogal.poly import discriminant
-        disc = Fraction(discriminant(f))
-        for ell, got in zip(primes, results):
-            degenerate = (coeffs[-1] % ell == 0
-                          or disc.numerator % ell == 0)
-            if degenerate:
-                assert got is None
-                continue
-            F = get_field(ell)
-            fmod = Poly.from_int_coeffs(coeffs, F).monic()
-            assert got == tuple(factor_degrees(fmod)), (coeffs, ell)
+        _assert_matches_single_prime(coeffs, primes, results)
+
+
+def _primes_from(start, count):
+    out = []
+    cand = start
+    while len(out) < count:
+        if _is_prime(cand):
+            out.append(cand)
+        cand += 1
+    return out
+
+
+def test_batch_factor_degrees_exact_or_refuses_large_primes():
+    # the batched kernel accumulates in int64; up to its proven bound
+    # (about 9.6e8 at degree 10) it must match the scalar pipeline, and
+    # above 2^31 it must match it too or raise
+    rng = random.Random(11)
+    below = _primes_from(9 * 10 ** 8, 3)
+    above = _primes_from(2 ** 31, 5) + _primes_from(3 * 10 ** 9, 5)
+    for _ in range(6):
+        coeffs = [rng.randrange(-50, 51) for _ in range(10)] + [1]
+        _assert_matches_single_prime(
+            coeffs, below, batch_factor_degrees(coeffs, below))
+        try:
+            results = batch_factor_degrees(coeffs, above)
+        except ValueError:
+            continue
+        _assert_matches_single_prime(coeffs, above, results)
 
 
 def test_is_perfect_square():

@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from orthogal.ffield import get_field
+from orthogal.ffield import (get_field, _poly_exact_div_mod_p, _poly_gcd_mod_p,
+                             _poly_mul_mod_p, _poly_rem_mod_p)
 from orthogal.poly import (Poly, factor, factor_degrees, is_irreducible,
                            resultant, discriminant, squarefree_decomposition,
-                           poly_from_string, poly_to_string)
+                           poly_from_string, poly_to_string, _resultant_mod)
 
 
 def _rand_poly(rng, field, deg, int_range=6):
@@ -153,6 +154,29 @@ def _sylvester_det(f, g):
                 c = rows[r][col] * inv
                 rows[r] = [a - c * b for a, b in zip(rows[r], rows[col])]
     return det
+
+
+@pytest.mark.parametrize("ell", [3, 9973, 2 ** 31 + 11])
+def test_fp_kernel_matches_poly(ell):
+    F = get_field(ell)
+    rng = random.Random(ell)
+    for _ in range(40):
+        a = [rng.randrange(ell) for _ in range(rng.randrange(1, 12))]
+        b = [rng.randrange(ell) for _ in range(rng.randrange(1, 7))]
+        m = b[:-1] + [1]
+        c = [rng.randrange(ell) for _ in range(rng.randrange(1, 5))]
+        pa, pb, pm, pc = (Poly(u, F) for u in (a, b, m, c))
+        assert Poly(_poly_mul_mod_p(a, b, ell), F) == pa * pb
+        assert Poly(_poly_rem_mod_p(a, m, ell), F) == pa % pm
+        # a common factor c makes the gcd nontrivial
+        ac, bc = _poly_mul_mod_p(a, c, ell), _poly_mul_mod_p(b, c, ell)
+        assert Poly(_poly_gcd_mod_p(ac, bc, ell), F) == \
+            Poly(ac, F).gcd(Poly(bc, F))
+        assert Poly(_poly_gcd_mod_p(a, b, ell), F) == pa.gcd(pb)
+        if not pc.is_zero():
+            assert Poly(_poly_exact_div_mod_p(ac, c[:pc.degree + 1], ell),
+                        F) == pa
+        assert _resultant_mod(a, b, ell) == resultant(pa, pb)
 
 
 def test_resultant_matches_sylvester_determinant():
