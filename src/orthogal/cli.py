@@ -343,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("wstats", help="exact class statistics of W_{2n}")
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--plus", action="store_true")
-    c.add_argument("--budget", type=int, default=10 ** 7)
+    c.add_argument("--budget", type=int, default=10 ** 5,
+                   help="largest number of conjugacy classes to list")
 
     c = sub.add_parser("count-irred")
     c.add_argument("--q", type=int, required=True)

@@ -17,6 +17,7 @@ statistics of the claimed group, via total-variation distance.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -453,16 +454,18 @@ def chebotarev_validate(f: Poly, claimed: str, prime_bound: int = 10 ** 5,
     statistics into a predicted distribution.  The report carries the
     total-variation distance and a pass/fail against the tolerance.
     """
-    if not (claimed.startswith("W") or claimed.endswith("+")):
+    match = re.fullmatch(r"W([1-9][0-9]*)(\+?)", claimed)
+    if match is None:
         raise ValueError(f"unrecognized group name {claimed!r}")
-    plus = claimed.endswith("+")
-    two_n = int(claimed.rstrip("+")[1:])
+    two_n = int(match.group(1))
+    plus = match.group(2) == "+"
     if two_n % 2 != 0:
         raise ValueError("group symbol must have even index")
     n = two_n // 2
     fm = _monic_over_q(f)
     if fm.degree != 2 * n:
         raise ValueError("degree of f does not match the claimed group")
+    stats = class_statistics(n, plus)
     h = to_trace_form(fm).h
     int_f, den_f = _clear_denominators(fm)
     int_h, den_h = _clear_denominators(h)
@@ -482,7 +485,6 @@ def chebotarev_validate(f: Poly, claimed: str, prime_bound: int = 10 ** 5,
         used += 1
     if used < 100:
         raise ValueError(f"only {used} good primes below {prime_bound}")
-    stats = class_statistics(n, plus)
     predicted = Counter()
     for (ctx, ctp, _e1), freq in stats.items():
         predicted[(tuple(sorted(ctx)), tuple(sorted(ctp)))] += freq

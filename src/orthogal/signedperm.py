@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product as iter_product
+from math import factorial
 
 from .errors import BudgetExceededError
 from .ffield import _is_prime
@@ -175,20 +176,102 @@ def enumerate_W(n: int, plus: bool = False, budget: int = 10 ** 7):
             if plus and invariants(g).eps1 != 1:
                 continue
             out.append(g)
-    assert len(out) == order_W(n, plus)
+    if len(out) != order_W(n, plus):
+        raise ArithmeticError(f"enumerated {len(out)} elements, expected "
+                              f"{order_W(n, plus)}")
     return out
 
 
-def class_statistics(n: int, plus: bool, budget: int = 10 ** 7):
+# ---------------------------------------------------------------------------
+# Class statistics from signed cycle types
+# ---------------------------------------------------------------------------
+
+
+def _bipartition_count(n: int, cap: int) -> int:
+    """Number of pairs of partitions (alpha, beta) with |alpha| + |beta| = n,
+    or the first larger count once it exceeds cap.
+
+    The counts b(m) are the coefficients of prod_k (1 - x^k)^-2, so
+    m b(m) = 2 sum_{k=1}^m sigma(k) b(m - k) with sigma the divisor sum.
+    b never decreases in m, so stopping at the first b(m) > cap keeps the
+    cost bounded by cap rather than by n.
+    """
+    b = [1]
+    sigma = [0]
+    for m in range(1, n + 1):
+        sigma.append(sum(d for d in range(1, m + 1) if m % d == 0))
+        b.append(2 * sum(sigma[k] * b[m - k] for k in range(1, m + 1)) // m)
+        if b[m] > cap:
+            break
+    return b[-1]
+
+
+def _partitions(m: int, smallest: int = 1):
+    """Partitions of m into parts >= smallest, as non-decreasing tuples."""
+    if m == 0:
+        yield ()
+        return
+    for k in range(smallest, m + 1):
+        for rest in _partitions(m - k, k):
+            yield (k,) + rest
+
+
+def _centralizer_factor(parts) -> int:
+    """prod_k (2k)^{m_k} m_k! over the multiplicities m_k of parts."""
+    out = 1
+    for k, mult in Counter(parts).items():
+        out *= (2 * k) ** mult * factorial(mult)
+    return out
+
+
+def class_statistics(n: int, plus: bool, budget: int = 10 ** 5):
     """Exact frequencies of (cycle type on X, cycle type on pairs, eps1)
-    over W_{2n} or W_{2n}^+, as Fractions summing to 1."""
-    elems = enumerate_W(n, plus, budget)
-    counts = Counter()
-    for g in elems:
-        inv = invariants(g)
-        counts[(inv.cycle_type_X, inv.cycle_type_pairs, inv.eps1)] += 1
-    total = len(elems)
-    return {key: Fraction(c, total) for key, c in counts.items()}
+    over W_{2n} or W_{2n}^+, as Fractions summing to 1.
+
+    The conjugacy classes of W_{2n} are its signed cycle types: pairs
+    (alpha, beta) of partitions with |alpha| + |beta| = n, alpha holding
+    the positive and beta the negative cycles on the n pairs (Young's
+    bipartition classification; R. W. Carter, Conjugacy classes in the
+    Weyl group, Compositio Math. 25 (1972)).  With a_k, b_k the numbers
+    of k-cycles in alpha and beta, the class has
+
+        2^n n! / prod_k (2k)^{a_k} a_k! (2k)^{b_k} b_k!
+
+    elements.  A positive k-cycle is two k-cycles on the 2n symbols and a
+    negative k-cycle one 2k-cycle, so the type on the pairs is
+    alpha + beta and eps1 = (-1)^(2n - #cycles on X) = (-1)^len(beta).
+    W_{2n}^+ keeps the classes with eps1 = 1.
+
+    budget bounds the number of classes, which is counted before any
+    class is listed; the default allows n <= 24.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    classes = _bipartition_count(n, budget)
+    if classes > budget:
+        raise BudgetExceededError(f"W_{2*n} has more than {budget} "
+                                  f"conjugacy classes")
+    order = order_W(n, False)
+    # types[m]: each partition of m with its cycle types on X as positive
+    # and as negative cycles, and its factor of the centralizer order
+    types = [[(lam, tuple(sorted(lam + lam)), tuple(2 * k for k in lam),
+               _centralizer_factor(lam)) for lam in _partitions(m)]
+             for m in range(n + 1)]
+    sizes = Counter()
+    for m in range(n + 1):
+        for pos, x_pos, _, z_pos in types[m]:
+            for neg, _, x_neg, z_neg in types[n - m]:
+                eps1 = -1 if len(neg) % 2 else 1
+                if plus and eps1 != 1:
+                    continue
+                key = (tuple(sorted(x_pos + x_neg)),
+                       tuple(sorted(pos + neg)), eps1)
+                sizes[key] += order // (z_pos * z_neg)
+    total = order_W(n, plus)
+    if sum(sizes.values()) != total:
+        raise ArithmeticError(f"class sizes sum to {sum(sizes.values())}, "
+                              f"expected {total}")
+    return {key: Fraction(c, total) for key, c in sizes.items()}
 
 
 # ---------------------------------------------------------------------------

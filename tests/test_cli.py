@@ -73,6 +73,13 @@ def test_lfunc_payload_pinned():
     assert pl["functional_equation"] is True
 
 
+def test_wstats_beyond_enumeration():
+    code, report = dispatch(["wstats", "--n", "8"])
+    assert code == 0
+    assert len(report["payload"]["classes"]) == 185
+    assert report["payload"]["order"] == 2 ** 8 * 40320
+
+
 def test_classify_exit_codes():
     code, report = dispatch(SMOKE_ARGS["classify"])
     assert code == 0

@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from orthogal.errors import NotReciprocalError, NotSeparableError
+from orthogal import galclass
+from orthogal.errors import (BudgetExceededError, NotReciprocalError,
+                             NotSeparableError)
 from orthogal.ffield import get_field, _is_prime
 from orthogal.poly import Poly, discriminant, factor_degrees
 from orthogal.recpoly import trace_lift
@@ -218,3 +220,25 @@ def test_chebotarev_validator_input_checks():
         chebotarev_validate(f, "W6")          # degree mismatch
     with pytest.raises(ValueError):
         chebotarev_validate(f, "W4", prime_bound=50)   # too few primes
+    for name in ("X4+", "W4++", "W04"):
+        with pytest.raises(ValueError):
+            chebotarev_validate(f, name)
+
+
+def test_chebotarev_validator_refuses_budget_before_scanning(monkeypatch):
+    def no_scan(bound):
+        raise AssertionError("primes scanned before the budget check")
+
+    monkeypatch.setattr(galclass, "primes_up_to", no_scan)
+    f = trace_lift(Poly([1] * 26))           # degree 50: n = 25 is over budget
+    with pytest.raises(BudgetExceededError):
+        chebotarev_validate(f, "W50")
+
+
+def test_chebotarev_validator_degree_16():
+    f = trace_lift(Poly([1, -4, -2, -4, 3, 1, -5, 4, 1]))
+    assert classify(f).claimed_group == "W16"
+    good = chebotarev_validate(f, "W16", prime_bound=10 ** 4)
+    bad = chebotarev_validate(f, "W16+", prime_bound=10 ** 4)
+    assert good.primes_used == bad.primes_used >= 1000
+    assert good.tv_distance + 0.2 <= bad.tv_distance

@@ -8,6 +8,7 @@ from itertools import product as iter_product
 
 import pytest
 
+from orthogal import signedperm
 from orthogal.errors import BudgetExceededError
 from orthogal.signedperm import (SignedPerm, invariants, order_W,
                                  enumerate_W, class_statistics,
@@ -103,7 +104,8 @@ def test_enumeration_budget():
 
 
 @pytest.mark.parametrize("n,plus", [(1, False), (2, False), (2, True),
-                                    (3, False), (3, True)])
+                                    (3, False), (3, True), (4, False),
+                                    (4, True), (5, False), (5, True)])
 def test_class_statistics_exact(n, plus):
     stats = class_statistics(n, plus)
     assert sum(stats.values()) == 1
@@ -124,6 +126,32 @@ def test_class_statistics_w2_pinned():
         ((1, 1), (1,), 1): Fraction(1, 2),
         ((2,), (1,), -1): Fraction(1, 2),
     }
+
+
+@pytest.mark.parametrize("n,classes", [(8, 185), (12, 1165)])
+def test_class_statistics_closed_form_beyond_enumeration(n, classes):
+    full = class_statistics(n, plus=False, budget=classes)
+    assert len(full) == classes == signedperm._bipartition_count(n, 10 ** 5)
+    # the negative n-cycle: one 2n-cycle on X, centralizer of order 2n
+    assert full[((2 * n,), (n,), -1)] == Fraction(1, 2 * n)
+    plus = class_statistics(n, plus=True)
+    assert all(e1 == 1 for _, _, e1 in plus)
+    assert plus == {k: 2 * v for k, v in full.items() if k[2] == 1}
+    for stats, is_plus in ((full, False), (plus, True)):
+        assert sum(stats.values()) == 1
+        order = order_W(n, is_plus)
+        assert all((v * order).denominator == 1 for v in stats.values())
+
+
+def test_class_statistics_budget_counts_classes(monkeypatch):
+    def no_listing(*args):
+        raise AssertionError("classes listed before the budget check")
+
+    monkeypatch.setattr(signedperm, "_partitions", no_listing)
+    with pytest.raises(BudgetExceededError):
+        class_statistics(60, False)
+    with pytest.raises(BudgetExceededError):
+        class_statistics(8, False, budget=184)
 
 
 # ---------------------------------------------------------------------------
