@@ -17,8 +17,9 @@ from .recpoly import (StrippedPoly, TraceForm, strip, to_trace_form,
 from .orthfin import (OrthSpace, OrthElem, CosetLabel, ALL_COSETS,
                       GroupTable, enumerate_O, coset_label, spinor_norm,
                       class_proportion, c_i_density, random_element)
-from .signedperm import (SignedPerm, invariants, order_W, enumerate_W,
-                         class_statistics, check_brauer_criterion)
+from .signedperm import (SignedPerm, WGroup, invariants, order_W,
+                         enumerate_W, class_statistics,
+                         check_brauer_criterion)
 from .galclass import (GaloisCertificate, KField, classify, compute_K,
                        group_constraint, chebotarev_validate,
                        batch_factor_degrees, is_perfect_square)

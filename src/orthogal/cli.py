@@ -19,6 +19,7 @@ import sys
 import time
 import warnings
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 
 import jsonschema
@@ -111,9 +112,15 @@ def make_report(command: str, argv, seed, payload, elapsed_ms=None) -> dict:
     return doc
 
 
-def _load_schema(name: str) -> dict:
-    ref = resources.files("orthogal").joinpath("schemas", name)
-    return json.loads(ref.read_text())
+@cache
+def _report_validator():
+    """Validator for the shipped envelope schema, built and checked
+    against its metaschema once per process."""
+    ref = resources.files("orthogal").joinpath("schemas", "report-v1.json")
+    schema = json.loads(ref.read_text())
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def report_schema_validate(doc) -> bool:
@@ -126,12 +133,7 @@ def report_schema_validate(doc) -> bool:
         doc["schema_version"] = doc.pop("version")
         warnings.warn("migrated legacy report envelope (version -> "
                       "schema_version)")
-    schema = _load_schema("report-v1.json")
-    try:
-        jsonschema.validate(doc, schema)
-    except jsonschema.ValidationError:
-        return False
-    return True
+    return _report_validator().is_valid(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +151,8 @@ def _cmd_classify(args):
         "stripped": [str(Fraction(c)) for c in cert.stripped_coeffs],
         "n": cert.n,
         "status": cert.status,
-        "claimed_group": cert.claimed_group,
+        "claimed_group": None if cert.claimed_group is None
+        else str(cert.claimed_group),
         "witnesses": {str(k): v for k, v in sorted(cert.witnesses.items())},
         "disc_is_square": cert.disc_is_square,
         "K": None if cert.K is None else {

@@ -33,7 +33,8 @@ class SquareClass:
     __slots__ = ("tag",)
 
     def __init__(self, tag: str):
-        assert tag in ("Square", "NonSquare", "Zero")
+        if tag not in ("Square", "NonSquare", "Zero"):
+            raise ValueError(f"unknown square class tag {tag!r}")
         self.tag = tag
 
     def __repr__(self):

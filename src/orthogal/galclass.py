@@ -17,7 +17,6 @@ statistics of the claimed group, via total-variation distance.
 from __future__ import annotations
 
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -28,7 +27,7 @@ from .errors import NotSeparableError
 from .ffield import _poly_exact_div_mod_p, _poly_gcd_mod_p
 from .poly import Poly, discriminant
 from .recpoly import strip, to_trace_form, classes_from_degrees
-from .signedperm import class_statistics
+from .signedperm import WGroup, class_statistics
 
 
 # ---------------------------------------------------------------------------
@@ -227,19 +226,22 @@ def is_perfect_square(x: Fraction) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class KField:
-    radicand: int            # K = Q(sqrt(radicand))
+    """K = Q(sqrt(radicand)) for an integer radicand."""
+    radicand: int
     is_rational: bool
     squarefree_part: int | None = None   # None when factoring gave up
-    fully_factored: bool = True
 
-    def __repr__(self):
-        if self.is_rational:
-            return "Q"
-        if self.squarefree_part is not None:
-            return f"Q(sqrt({self.squarefree_part}))"
-        return f"Q(sqrt({self.radicand}))"
+    @classmethod
+    def from_radicand(cls, radicand: int) -> KField:
+        """is_rational is an exact perfect-square test on the radicand."""
+        sf, full = _squarefree_part(radicand)
+        return cls(radicand, is_perfect_square(Fraction(radicand)),
+                   sf if full else None)
+
+    def __str__(self):
+        return "Q" if self.is_rational else f"Q(sqrt({self.radicand}))"
 
 
 def _squarefree_part(n: int, trial_bound: int = 10 ** 6):
@@ -282,25 +284,19 @@ def compute_K(P: Poly) -> KField:
     if p1 == 0 or pm1 == 0:
         raise ValueError("P(1) and P(-1) must be nonzero")
     m = Fraction(-1) ** (N // 2) * p1 * pm1
-    # integer of the same square class
-    m_int = m.numerator * m.denominator
-    rational = is_perfect_square(m)
-    sf, full = _squarefree_part(m_int)
-    return KField(radicand=m_int, is_rational=rational,
-                  squarefree_part=sf if full else None, fully_factored=full)
+    return KField.from_radicand(m.numerator * m.denominator)
 
 
-def group_constraint(N: int, eps: int, k_rational: bool | None = None) -> str:
-    """Ambient group name for degree N and functional-equation sign eps."""
+def group_constraint(N: int, eps: int,
+                     k_rational: bool | None = None) -> WGroup:
+    """Ambient group for degree N and functional-equation sign eps."""
     if N <= 2:
         raise ValueError("need N > 2")
     if N % 2 == 1:
-        return f"W{N - 1}"
+        return WGroup((N - 1) // 2, False)
     if eps == -1:
-        return f"W{N - 2}"
-    if k_rational is None:
-        return f"W{N}"
-    return f"W{N}+" if k_rational else f"W{N}"
+        return WGroup(N // 2 - 1, False)
+    return WGroup(N // 2, plus=bool(k_rational))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +311,7 @@ class GaloisCertificate:
     epsilon: int
     stripped_coeffs: list            # monic core f over Q, as Fractions
     n: int
-    claimed_group: str | None
+    claimed_group: WGroup | None
     witnesses: dict                  # class index -> first witness prime
     disc_is_square: bool | None
     K: KField | None
@@ -409,20 +405,16 @@ def classify(P: Poly, prime_budget: int = 10 ** 4) -> GaloisCertificate:
         return cert
     if even_plus:
         # an i=6 witness would force disc(f) to be a nonsquare
-        if disc_sq:
-            assert 6 not in witnesses
-            cert.witnesses = {i: witnesses[i] for i in sorted(witnesses)
-                              if i != 6}
-            cert.claimed_group = f"W{2 * n}+"
-        else:
-            cert.claimed_group = f"W{2 * n}"
-        cert.status = "Certified"
+        if disc_sq and 6 in witnesses:
+            raise ArithmeticError("class-6 witness at prime "
+                                  f"{witnesses[6]} but disc(f) is a square")
+        cert.claimed_group = WGroup(n, plus=disc_sq)
+    elif 6 in witnesses:
+        cert.claimed_group = WGroup(n, False)
+    else:
+        cert.reason = "missing the class-6 witness for the full group"
         return cert
-    if 6 in witnesses:
-        cert.claimed_group = f"W{2 * n}"
-        cert.status = "Certified"
-        return cert
-    cert.reason = "missing the class-6 witness for the full group"
+    cert.status = "Certified"
     return cert
 
 
@@ -433,7 +425,7 @@ def classify(P: Poly, prime_budget: int = 10 ** 4) -> GaloisCertificate:
 
 @dataclass
 class ChebotarevReport:
-    claimed: str
+    claimed: WGroup
     n: int
     primes_used: int
     tv_distance: float
@@ -443,7 +435,7 @@ class ChebotarevReport:
     predicted: dict = dc_field(repr=False, default_factory=dict)
 
 
-def chebotarev_validate(f: Poly, claimed: str, prime_bound: int = 10 ** 5,
+def chebotarev_validate(f: Poly, claimed: WGroup, prime_bound: int = 10 ** 5,
                         tolerance: float = 0.05) -> ChebotarevReport:
     """Compare mod-l factorization statistics of f with the claimed group.
 
@@ -454,18 +446,13 @@ def chebotarev_validate(f: Poly, claimed: str, prime_bound: int = 10 ** 5,
     statistics into a predicted distribution.  The report carries the
     total-variation distance and a pass/fail against the tolerance.
     """
-    match = re.fullmatch(r"W([1-9][0-9]*)(\+?)", claimed)
-    if match is None:
-        raise ValueError(f"unrecognized group name {claimed!r}")
-    two_n = int(match.group(1))
-    plus = match.group(2) == "+"
-    if two_n % 2 != 0:
-        raise ValueError("group symbol must have even index")
-    n = two_n // 2
+    if not isinstance(claimed, WGroup):
+        raise TypeError(f"claimed must be a WGroup, not {claimed!r}")
+    n = claimed.n
     fm = _monic_over_q(f)
     if fm.degree != 2 * n:
         raise ValueError("degree of f does not match the claimed group")
-    stats = class_statistics(n, plus)
+    stats = class_statistics(n, claimed.plus)
     h = to_trace_form(fm).h
     int_f, den_f = _clear_denominators(fm)
     int_h, den_h = _clear_denominators(h)

@@ -15,7 +15,9 @@ the mod-4 signature congruence checkable exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, isqrt
+from math import comb
+
+from .galclass import KField
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +145,8 @@ def hodge_degree(n: int, d: int) -> int:
     if n < 0 or n % 2 != 0 or d < 2:
         raise ValueError("need n even >= 0 and d >= 2")
     num = (d - 1) * ((d - 1) ** (n + 1) + 1)
-    assert num % d == 0
+    if num % d != 0:
+        raise ArithmeticError(f"N is not an integer for n = {n}, d = {d}")
     return num // d
 
 
@@ -178,17 +181,24 @@ def primitive_hodge(n: int, d: int) -> HodgeTable:
     grid = _hirzebruch_series(d, n + 1)
     h0 = tuple(grid[p][n - p] for p in range(n + 1))
     alt = sum((-1) ** p * h0[p] for p in range(n + 1))
-    assert alt == _alternating_check(d, n)
+    if alt != _alternating_check(d, n):
+        raise ArithmeticError("alternating Hodge sum disagrees with the "
+                              "y = -x, z = x specialization")
     N = hodge_degree(n, d)
-    assert sum(h0) == N
+    if sum(h0) != N:
+        raise ArithmeticError(f"primitive Hodge numbers sum to {sum(h0)}, "
+                              f"expected N = {N}")
     # b+ - b- over the full middle cohomology (Hodge index theorem):
     # the non-middle even rows contribute 1 - (-1)^{n/2}
     sig = alt + (-1) ** (n // 2) + 1 - (-1) ** (n // 2)
     total = N + 1
-    assert (total + sig) % 2 == 0
+    if (total + sig) % 2 != 0:
+        raise ArithmeticError(f"signature {sig} and rank {total} differ "
+                              "in parity")
     b_plus = (total + sig) // 2
     b_minus = (total - sig) // 2
-    assert b_plus >= 0 and b_minus >= 0
+    if b_plus < 0 or b_minus < 0:
+        raise ArithmeticError(f"signature {sig} exceeds the rank {total}")
     return HodgeTable(n=n, d=d, h0=h0, N=N, b_plus=b_plus, b_minus=b_minus)
 
 
@@ -203,24 +213,10 @@ def signature_congruence(n: int, d: int):
     return sig, (sig - d) % 4 == 0
 
 
-@dataclass(frozen=True)
-class KField:
-    """Q(sqrt(radicand)), recorded by its radicand."""
-    radicand: int
-    is_rational: bool
-
-    def __str__(self):
-        if self.is_rational:
-            return "Q"
-        return f"Q(sqrt({self.radicand}))"
-
-
 def k_field_hypersurface(d: int) -> KField:
     """The quadratic field Q(sqrt((-1)^{(d-1)/2} d)) attached to the
     degree-d family of even-dimensional hypersurfaces (d odd, the
     even-rank case); it is Q exactly when d is a perfect square."""
     if d < 3 or d % 2 == 0:
         raise ValueError("d must be odd and >= 3")
-    radicand = (-1) ** ((d - 1) // 2) * d
-    rational = radicand > 0 and isqrt(radicand) ** 2 == radicand
-    return KField(radicand=radicand, is_rational=rational)
+    return KField.from_radicand((-1) ** ((d - 1) // 2) * d)

@@ -28,9 +28,9 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .ffield import Fq, get_field, conway_like_modulus
-from .galclass import (classify, group_constraint, _squarefree_part,
-                       is_perfect_square)
+from .galclass import KField, classify, group_constraint, _squarefree_part
 from .poly import Poly, discriminant, factor
+from .signedperm import WGroup
 
 #: Sentinel naming the place at infinity (uniformizer 1/t).
 INFINITY = "infinity"
@@ -816,9 +816,9 @@ def enumerate_twists(E: FqTCurve, d: int, n: int = 1):
 class TwistRecord:
     u_coeffs: tuple
     epsilon: int
-    target: str
+    target: WGroup
     status: str
-    claimed: str | None
+    claimed: WGroup | None
     match: bool
 
 
@@ -842,10 +842,10 @@ class SurveyReport:
     records: list = dc_field(repr=False, default_factory=list)
 
 
-def twist_target_group(N_d: int, epsilon: int, D_d: int) -> str:
+def twist_target_group(N_d: int, epsilon: int, D_d: int) -> WGroup:
     """The predicted Galois group of one twist's P_u."""
-    return group_constraint(N_d, epsilon, k_rational=is_perfect_square(
-        Fraction((-1) ** (N_d // 2) * D_d)))
+    K = KField.from_radicand((-1) ** (N_d // 2) * D_d)
+    return group_constraint(N_d, epsilon, k_rational=K.is_rational)
 
 
 def survey_delta(E: FqTCurve, d: int, n: int = 1, sample: int | None = None,
@@ -889,9 +889,10 @@ def survey_delta(E: FqTCurve, d: int, n: int = 1, sample: int | None = None,
         cert = classify(Poly(L.p_u()), prime_budget=prime_budget)
         match = (cert.status == "Certified" and cert.claimed_group == target)
         matches += match
-        outcome = cert.claimed_group if cert.status == "Certified" \
-            else cert.status
-        confusion[(target, outcome)] = confusion.get((target, outcome), 0) + 1
+        # keyed by the printed names: an outcome is a group or a status
+        key = (str(target), str(cert.claimed_group)
+               if cert.status == "Certified" else cert.status)
+        confusion[key] = confusion.get(key, 0) + 1
         records.append(TwistRecord(
             u_coeffs=tuple(int(c) for c in u.coeffs), epsilon=L.epsilon,
             target=target, status=cert.status,

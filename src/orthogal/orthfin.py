@@ -110,8 +110,11 @@ class CosetLabel:
     spin: SquareClass        # Square or NonSquare
 
     def __post_init__(self):
-        assert self.det in (1, -1)
-        assert self.spin in (SQUARE, NONSQUARE)
+        if self.det not in (1, -1):
+            raise ValueError(f"coset det must be 1 or -1, not {self.det!r}")
+        if self.spin not in (SQUARE, NONSQUARE):
+            raise ValueError(f"coset spin must be Square or NonSquare, "
+                             f"not {self.spin!r}")
 
 
 ALL_COSETS = [CosetLabel(d, s) for d in (1, -1) for s in (SQUARE, NONSQUARE)]
@@ -356,8 +359,9 @@ class GroupTable:
         if self._dets is None:
             p = self.V.q
             d = _batch_det(self.mats, p)
+            if not np.all((d == 1) | (d == p - 1)):
+                raise ArithmeticError("a determinant is not +-1")
             out = np.where(d == 1, 1, -1)
-            assert np.all((d == 1) | (d == p - 1))
             self._dets = out
         return self._dets
 
@@ -563,7 +567,8 @@ def _e_signs_and_degrees(f: Poly):
     unit, factors = factor(h)
     out = []
     for hi, m in factors:
-        assert m == 1
+        if m != 1:
+            raise NotSeparableError("trace form has a repeated factor")
         val = F.mul(hi.eval_int(2), hi.eval_int(-2))
         sc = F.square_class(val)
         if sc == ZERO_CLASS:

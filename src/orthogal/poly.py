@@ -483,7 +483,9 @@ def _pth_root(f: Poly) -> Poly:
 def squarefree_decomposition(f: Poly):
     """List of (squarefree monic g, multiplicity m) with f = lc * prod g^m."""
     F = f.field
-    assert F is not None
+    if F is None:
+        raise ValueError("squarefree decomposition needs a polynomial "
+                         "over a finite field")
     f = f.monic()
     out = []
 

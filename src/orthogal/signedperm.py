@@ -162,6 +162,20 @@ def order_W(n: int, plus: bool) -> int:
     return out // 2 if plus else out
 
 
+@dataclass(frozen=True)
+class WGroup:
+    """The group W_{2n}, or its index-two subgroup W_{2n}^+ when plus."""
+    n: int
+    plus: bool
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
+
+    def __str__(self):
+        return f"W{2 * self.n}{'+' if self.plus else ''}"
+
+
 def enumerate_W(n: int, plus: bool = False, budget: int = 10 ** 7):
     """All elements of W_{2n} (or of its index-two subgroup)."""
     if n < 1:

@@ -313,7 +313,7 @@ def test_classifier_end_to_end():
         # the W vs W+ decision agrees with the exact square test
         disc_square = is_perfect_square(Fraction(discriminant(f)))
         assert cert.disc_is_square == disc_square
-        assert cert.claimed_group.endswith("+") == disc_square
+        assert cert.claimed_group.plus == disc_square
         # every certificate passes the frequency validator
         report = chebotarev_validate(f, cert.claimed_group,
                                      prime_bound=10 ** 5, tolerance=0.05)

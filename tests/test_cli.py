@@ -65,6 +65,21 @@ def test_hodge_payload_pinned():
     assert pl["K"] is None
 
 
+def test_hodge_k_field_pinned():
+    code, report = dispatch(["hodge", "--n", "2", "--d", "27"])
+    assert code == 0
+    assert report["payload"]["K"] == {"radicand": -27, "is_rational": False,
+                                      "display": "Q(sqrt(-27))"}
+
+
+def test_lfunc_survey_confusion_pinned():
+    code, report = dispatch(SMOKE_ARGS["lfunc-survey"])
+    assert code == 0
+    assert report["payload"]["confusion"] == [
+        {"target": "W2", "outcome": "W2", "count": 3},
+        {"target": "W4+", "outcome": "W4+", "count": 3}]
+
+
 def test_lfunc_payload_pinned():
     code, report = dispatch(SMOKE_ARGS["lfunc"])
     pl = report["payload"]
@@ -107,6 +122,15 @@ def test_error_exit_code_and_payload():
 @pytest.mark.parametrize("q", ["1", "0", "-3"])
 def test_count_irred_rejects_non_prime_powers(q):
     code, report = dispatch(["count-irred", "--q", q, "--m", "2"])
+    assert code == 1
+    assert report["payload"]["error"].startswith("ValueError")
+    assert report_schema_validate(report)
+
+
+@pytest.mark.parametrize("coset", ["2,square", "0,nonsquare"])
+def test_density_rejects_bad_coset_det(coset):
+    code, report = dispatch(["density", "--N", "3", "--i", "1",
+                             "--primes", "5,7", "--coset", coset])
     assert code == 1
     assert report["payload"]["error"].startswith("ValueError")
     assert report_schema_validate(report)

@@ -15,8 +15,9 @@ from orthogal.poly import Poly, discriminant, factor_degrees
 from orthogal.recpoly import trace_lift
 from orthogal.galclass import (primes_up_to, batch_factor_degrees,
                                is_perfect_square, _squarefree_part,
-                               compute_K, group_constraint, classify,
+                               KField, compute_K, group_constraint, classify,
                                chebotarev_validate)
+from orthogal.signedperm import WGroup
 
 
 def test_primes_up_to():
@@ -107,19 +108,50 @@ def test_compute_K():
     # N = 2: (-1)^1 * P(1)P(-1) = -(-1)(5) = 5
     assert not K2.is_rational and K2.radicand == 5 \
         and K2.squarefree_part == 5
+    assert str(K) == "Q" and str(K2) == "Q(sqrt(5))"
     with pytest.raises(ValueError):
         compute_K(Poly([1, 1, 1, 1]))      # odd degree
     with pytest.raises(ValueError):
         compute_K(Poly([-1, 0, 1]))        # P(1) = 0
 
 
+def test_k_field_square_test_matches_is_perfect_square():
+    # the integer radicand num * den is a square exactly when the
+    # rational m = num / den is one
+    rng = random.Random(11)
+    ms = [Fraction(9, 4), Fraction(4, 9), Fraction(-9, 4), Fraction(2, 8),
+          Fraction(8, 2), Fraction(18, 8), Fraction(3, 12)]
+    for _ in range(300):
+        cs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+              for _ in range(2 * rng.randint(1, 3) + 1)]
+        cs[-1] = cs[-1] or Fraction(1)
+        N = len(cs) - 1
+        p1 = sum(cs)
+        pm1 = sum(c if i % 2 == 0 else -c for i, c in enumerate(cs))
+        if p1 == 0 or pm1 == 0:
+            continue
+        m = (-1) ** (N // 2) * p1 * pm1
+        ms.append(m)
+        K = compute_K(Poly(cs))
+        assert K.radicand == m.numerator * m.denominator
+        assert K.is_rational == is_perfect_square(m)
+    for m in ms:
+        K = KField.from_radicand(m.numerator * m.denominator)
+        assert K.is_rational == is_perfect_square(m), m
+    for d in range(0, 200):
+        for r in (d, -d):
+            assert KField.from_radicand(r).is_rational \
+                == is_perfect_square(Fraction(r)), r
+    assert any(is_perfect_square(m) for m in ms)
+
+
 def test_group_constraint():
-    assert group_constraint(5, 1) == "W4"
-    assert group_constraint(5, -1) == "W4"
-    assert group_constraint(6, -1) == "W4"
-    assert group_constraint(6, 1) == "W6"
-    assert group_constraint(6, 1, k_rational=True) == "W6+"
-    assert group_constraint(6, 1, k_rational=False) == "W6"
+    assert group_constraint(5, 1) == WGroup(2, False)
+    assert group_constraint(5, -1) == WGroup(2, False)
+    assert group_constraint(6, -1) == WGroup(2, False)
+    assert group_constraint(6, 1) == WGroup(3, False)
+    assert group_constraint(6, 1, k_rational=True) == WGroup(3, True)
+    assert group_constraint(6, 1, k_rational=False) == WGroup(3, False)
     with pytest.raises(ValueError):
         group_constraint(2, 1)
 
@@ -133,7 +165,7 @@ def test_classify_quartic_plus_group():
     # T^4 + 3T^2 + 1 = lift of h = x^2 + x - 1; disc(f) = 2000... check:
     cert = classify(Poly([1, 0, 3, 0, 1]))
     assert cert.status == "Certified"
-    assert cert.claimed_group == "W4+"
+    assert cert.claimed_group == WGroup(2, True)
     assert cert.epsilon == 1 and cert.n == 2
     assert cert.disc_is_square is True
     assert set(cert.witnesses) >= {1, 2, 3, 4, 5}
@@ -146,7 +178,7 @@ def test_classify_quartic_full_group():
     f = trace_lift(Poly([-3, -1, 1]))
     cert = classify(f)
     assert cert.status == "Certified"
-    assert cert.claimed_group == "W4"
+    assert cert.claimed_group == WGroup(2, False)
     assert cert.disc_is_square is False
 
 
@@ -156,12 +188,12 @@ def test_classify_odd_degree_and_minus_sign():
     cert = classify(f * Poly([1, 1]))       # degree 5, eps = +1
     assert cert.N == 5 and cert.epsilon == 1
     if cert.status == "Certified":
-        assert cert.claimed_group == "W4"
+        assert cert.claimed_group == WGroup(2, False)
         assert 6 in cert.witnesses
     cert2 = classify(f * Poly([-1, 0, 1]))  # degree 6, eps = -1
     assert cert2.N == 6 and cert2.epsilon == -1
     assert cert2.status == "Certified"
-    assert cert2.claimed_group == "W4"
+    assert cert2.claimed_group == WGroup(2, False)
 
 
 def test_classify_rejects_boundary_roots():
@@ -181,6 +213,15 @@ def test_classify_error_paths():
         classify(Poly([1, 3, 1]))                 # degree too small
 
 
+def test_classify_refuses_class6_witness_with_square_disc(monkeypatch):
+    # disc(T^4 + 3T^2 + 1) is a square, so a class-6 witness is a
+    # contradiction; it must raise even under python -O
+    monkeypatch.setattr(galclass, "classes_from_degrees",
+                        lambda ht, ft: {1, 2, 3, 4, 5, 6})
+    with pytest.raises(ArithmeticError):
+        classify(Poly([1, 0, 3, 0, 1]))
+
+
 def test_classify_inconclusive_with_tiny_budget():
     f = trace_lift(Poly([-3, -1, 1]))
     cert = classify(f, prime_budget=4)
@@ -193,7 +234,8 @@ def test_classify_normalizes_scaling():
     f = trace_lift(Poly([-3, -1, 1]))
     scaled = Poly([Fraction(7 * c, 3) for c in f.coeffs])
     cert = classify(scaled)
-    assert cert.status == "Certified" and cert.claimed_group == "W4"
+    assert cert.status == "Certified"
+    assert cert.claimed_group == WGroup(2, False)
 
 
 # ---------------------------------------------------------------------------
@@ -203,26 +245,32 @@ def test_classify_normalizes_scaling():
 
 def test_chebotarev_validator_accepts_and_rejects():
     f = trace_lift(Poly([-3, -1, 1]))        # certified W4 above
-    good = chebotarev_validate(f, "W4", prime_bound=10 ** 4)
+    good = chebotarev_validate(f, WGroup(2, False), prime_bound=10 ** 4)
     assert good.passed and good.primes_used >= 100
     assert good.tv_distance <= good.tolerance
     # the wrong index-two claim must fail by a wide margin
-    bad = chebotarev_validate(f, "W4+", prime_bound=10 ** 4)
+    bad = chebotarev_validate(f, WGroup(2, True), prime_bound=10 ** 4)
     assert not bad.passed
     assert bad.tv_distance > 0.2
 
 
 def test_chebotarev_validator_input_checks():
     f = trace_lift(Poly([-3, -1, 1]))
+    with pytest.raises(TypeError):
+        chebotarev_validate(f, "W4")              # only a WGroup is a claim
     with pytest.raises(ValueError):
-        chebotarev_validate(f, "S4")
+        chebotarev_validate(f, WGroup(3, False))  # degree mismatch
     with pytest.raises(ValueError):
-        chebotarev_validate(f, "W6")          # degree mismatch
-    with pytest.raises(ValueError):
-        chebotarev_validate(f, "W4", prime_bound=50)   # too few primes
-    for name in ("X4+", "W4++", "W04"):
+        chebotarev_validate(f, WGroup(2, False), prime_bound=50)  # few primes
+
+
+def test_wgroup_label():
+    assert str(WGroup(3, False)) == "W6" and str(WGroup(3, True)) == "W6+"
+    assert str(WGroup(5, False)) == "W10"
+    assert WGroup(2, True) == WGroup(2, True) != WGroup(2, False)
+    for n in (0, -1):
         with pytest.raises(ValueError):
-            chebotarev_validate(f, name)
+            WGroup(n, False)
 
 
 def test_chebotarev_validator_refuses_budget_before_scanning(monkeypatch):
@@ -232,13 +280,13 @@ def test_chebotarev_validator_refuses_budget_before_scanning(monkeypatch):
     monkeypatch.setattr(galclass, "primes_up_to", no_scan)
     f = trace_lift(Poly([1] * 26))           # degree 50: n = 25 is over budget
     with pytest.raises(BudgetExceededError):
-        chebotarev_validate(f, "W50")
+        chebotarev_validate(f, WGroup(25, False))
 
 
 def test_chebotarev_validator_degree_16():
     f = trace_lift(Poly([1, -4, -2, -4, 3, 1, -5, 4, 1]))
-    assert classify(f).claimed_group == "W16"
-    good = chebotarev_validate(f, "W16", prime_bound=10 ** 4)
-    bad = chebotarev_validate(f, "W16+", prime_bound=10 ** 4)
+    assert classify(f).claimed_group == WGroup(8, False)
+    good = chebotarev_validate(f, WGroup(8, False), prime_bound=10 ** 4)
+    bad = chebotarev_validate(f, WGroup(8, True), prime_bound=10 ** 4)
     assert good.primes_used == bad.primes_used >= 1000
     assert good.tv_distance + 0.2 <= bad.tv_distance

@@ -9,6 +9,7 @@ import pytest
 from orthogal.errors import BudgetExceededError
 from orthogal.ffield import get_field
 from orthogal.poly import Poly
+from orthogal.signedperm import WGroup
 from orthogal.lfunc import (FqTCurve, quadratic_twist, INFINITY,
                             kodaira_table_row, kodaira_at,
                             finite_bad_places, bad_modulus,
@@ -261,12 +262,14 @@ def test_enumerate_twists_matches_filter():
 
 
 def test_twist_target_group():
-    assert twist_target_group(5, 1, 1) == "W4"
-    assert twist_target_group(5, -1, 1) == "W4"
-    assert twist_target_group(6, -1, 1) == "W4"
-    assert twist_target_group(4, 1, 1) == "W4+"      # (-1)^2 * 1 square
-    assert twist_target_group(4, 1, 3) == "W4"
-    assert twist_target_group(6, 1, 1) == "W6"       # -1 not a square
+    assert twist_target_group(5, 1, 1) == WGroup(2, False)
+    assert twist_target_group(5, -1, 1) == WGroup(2, False)
+    assert twist_target_group(6, -1, 1) == WGroup(2, False)
+    assert twist_target_group(4, 1, 1) == WGroup(2, True)   # (-1)^2 * 1
+    assert twist_target_group(4, 1, 3) == WGroup(2, False)
+    assert twist_target_group(4, 1, 9) == WGroup(2, True)
+    assert twist_target_group(6, 1, 1) == WGroup(3, False)  # -1 nonsquare
+    assert twist_target_group(6, 1, -4) == WGroup(3, True)
 
 
 def test_embedding_table_is_a_field_homomorphism():
