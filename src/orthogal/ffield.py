@@ -81,9 +81,10 @@ def _is_prime(n: int) -> bool:
 # -- the F_p list-polynomial kernel ------------------------------------------
 #
 # Polynomials over a prime field F_p as int lists in ascending order.
-# This is the package's one mod-p polynomial kernel: Fq.mul, the
-# batched factor-degree gcd chain and the modular resultant all run on
-# it.  Inputs may be unreduced ints; outputs are reduced mod p.
+# This is the package's one mod-p list-polynomial kernel: Fq.mul and
+# the modular resultant run on it (the batched factor-degree kernel in
+# galclass works on int64 matrices instead).  Inputs may be unreduced
+# ints; outputs are reduced mod p.
 
 
 def _poly_mul_mod_p(a, b, p):
@@ -110,48 +111,6 @@ def _poly_rem_mod_p(a, m, p):
             for j in range(dm):
                 a[i - dm + j] = (a[i - dm + j] - c * m[j]) % p
     return [c % p for c in a[:dm]]
-
-
-def _trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_gcd_mod_p(a, b, p):
-    """Monic gcd of a and b over F_p, trimmed ([] when both are zero)."""
-    a = _trim([c % p for c in a])
-    b = _trim([c % p for c in b])
-    while b:
-        # a %= b in place; a[-1] stays nonzero after each trim
-        db = len(b) - 1
-        inv = pow(b[-1], -1, p)
-        while len(a) > db:
-            c = (a[-1] * inv) % p
-            off = len(a) - 1 - db
-            for j in range(db):
-                a[off + j] = (a[off + j] - c * b[j]) % p
-            a.pop()
-            _trim(a)
-        a, b = b, a
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [(c * inv) % p for c in a]
-    return a
-
-
-def _poly_exact_div_mod_p(a, b, p):
-    """Quotient a / b over F_p, assuming b divides a exactly."""
-    a = [c % p for c in a]
-    out = [0] * (len(a) - len(b) + 1)
-    inv = pow(b[-1], -1, p)
-    for i in range(len(out) - 1, -1, -1):
-        c = (a[i + len(b) - 1] * inv) % p
-        out[i] = c
-        if c:
-            for j in range(len(b)):
-                a[i + j] = (a[i + j] - c * b[j]) % p
-    return out
 
 
 def _prime_factors(n):

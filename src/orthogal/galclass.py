@@ -16,6 +16,7 @@ statistics of the claimed group, via total-variation distance.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
@@ -24,7 +25,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NotSeparableError
-from .ffield import _poly_exact_div_mod_p, _poly_gcd_mod_p
 from .poly import Poly, discriminant
 from .recpoly import strip, to_trace_form, classes_from_degrees
 from .signedperm import WGroup, class_statistics
@@ -51,11 +51,14 @@ def primes_up_to(bound: int):
 # Batched distinct-degree factorization over many primes at once
 # ---------------------------------------------------------------------------
 #
-# The expensive part of scanning thousands of primes is the Frobenius
-# power x^l mod f.  Coefficients for all primes are kept in one int64
-# matrix (one row per prime, with that row's modulus), so the
-# square-and-multiply runs vectorized across every prime at once.  The
-# cheap gcd chains that read off the factor degrees stay per-row.
+# Coefficients for all primes are kept in int64 matrices (one row per
+# prime, with that row's modulus), so every stage runs vectorized across
+# the primes.  The Frobenius powers x^(l^k) mod f come from one
+# square-and-multiply; then one batched Euclid takes the degrees of
+# g_k = gcd(x^(l^k) - x, f) for every prime and every level k at once.
+# A good row is squarefree mod l, so deg g_k = sum_{j | k} j n_j, where
+# n_j counts the irreducible factors of degree j; the levels need no
+# division by the factors already found.
 
 
 # Overflow: inputs stay reduced into [0, l) for their row prime l, and
@@ -63,10 +66,25 @@ def primes_up_to(bound: int):
 # before the next reduction (d = deg f; Frobenius rows hold d coefficients):
 #   * _vec_polymul: an output coefficient sums <= d products;
 #   * _vec_polymod: a coefficient is lowered by <= d products c * F[j];
-#   * the einsum: each entry sums d products.
+#   * the einsum: each entry sums d products;
+#   * _vec_powmod and the Euclid step lc(b) a - lc(a) x^s b: one product,
+#     or the difference of two, of reduced values, at most (l - 1)^2.
 # So every intermediate is bounded in size by d (l - 1)^2, and the
 # kernel is exact when d (l - 1)^2 < 2^63; batch_factor_degrees refuses
 # larger primes.
+
+
+def _max_kernel_prime(d: int) -> int:
+    """Largest l with d (l - 1)^2 < 2^63 (see the overflow note)."""
+    return 1 + math.isqrt((2 ** 63 - 1) // d)
+
+
+def _check_kernel_prime(d: int, largest: int):
+    """Raise ValueError when a prime up to largest overflows at degree d."""
+    max_prime = _max_kernel_prime(d)
+    if largest > max_prime:
+        raise ValueError(f"primes above {max_prime} would overflow the "
+                         f"int64 kernel at degree {d}")
 
 
 def _vec_polymul(A, B, m):
@@ -88,6 +106,17 @@ def _vec_polymod(A, F, m):
         c = A[:, i] % m
         A[:, i - d:i] -= c[:, None] * F[:, :d]
     out = A[:, :max(d, 1)] % m[:, None]
+    return out
+
+
+def _vec_powmod(a, e, m):
+    """a^e mod m entrywise (a reduced into [0, m), e >= 0)."""
+    out = np.ones_like(a)
+    a, e = a.copy(), e.copy()
+    while e.any():
+        out = np.where(e & 1, out * a % m, out)
+        a = a * a % m
+        e >>= 1
     return out
 
 
@@ -128,6 +157,88 @@ def _batch_frobenius_chains(C, primes, kmax):
     return out
 
 
+def _top_aligned(X, w):
+    """(w columns per row, leading coefficient in column 0; degrees).
+
+    X holds ascending coefficient rows; a zero row has degree -1."""
+    nz = X != 0
+    deg = np.where(nz.any(axis=1),
+                   X.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1), -1)
+    src = deg[:, None] - np.arange(w)
+    below = src < 0
+    np.maximum(src, 0, out=src)
+    top = np.take_along_axis(X, src, axis=1)
+    top[below] = 0
+    return top, deg
+
+
+def _batch_gcd_degrees(A, B, m):
+    """deg gcd(a, b) over F_m for each row pair; -1 when both are zero.
+
+    A, B: ascending coefficient rows, R of each, reduced into [0, m)
+    for the row's prime m.  Each step keeps deg a >= deg b by swapping
+    and replaces a by lc(b) a - lc(a) x^(deg a - deg b) b, which lowers
+    deg a and needs no inverse.  A row whose b is zero is finished: its
+    degree is recorded and it drops out of the mask of live rows.  Rows
+    are stored top-aligned (leading coefficient first), so
+    x^(deg a - deg b) b is b's row as stored, and the cancelled leading
+    term of a is dropped by a shift of one column.  The step works in
+    place in four buffers allocated once.
+    """
+    w = max(A.shape[1], B.shape[1])
+    (A, da), (B, db) = _top_aligned(A, w), _top_aligned(B, w)
+    T, U = np.empty_like(A), np.empty_like(A)
+    out = np.full(len(m), -1, dtype=np.int64)
+    while True:
+        swap = da < db
+        if swap.any():
+            T[...] = A
+            np.copyto(A, B, where=swap[:, None])
+            np.copyto(B, T, where=swap[:, None])
+            da, db = np.maximum(da, db), np.minimum(da, db)
+        done = (db < 0) & (da >= 0)
+        out[done] = da[done]
+        da[done] = -1
+        live = db >= 0
+        if not live.any():
+            return out
+        # columns past the largest degree are zero in every live row
+        w = int(da.max()) + 1
+        a, b, t, u = A[:, :w], B[:, :w], T[:, :w], U[:, :w]
+        np.multiply(a, b[:, :1], out=t)
+        np.multiply(b, a[:, :1], out=u)
+        t -= u
+        t %= m[:, None]
+        # drop the cancelled leading term, then any zero leading terms
+        a[:, :-1] = t[:, 1:]
+        a[:, -1] = 0
+        da -= live
+        lead = (A[:, 0] == 0) & (da >= 0)
+        while lead.any():
+            A[lead, :-1] = A[lead, 1:]
+            A[lead, -1] = 0
+            da -= lead
+            lead = (A[:, 0] == 0) & (da >= 0)
+
+
+@functools.lru_cache(maxsize=64)
+def _degenerate_numerator(int_coeffs: tuple) -> int:
+    """lc(f) times the numerator of disc(f): a prime l divides it exactly
+    when the reduction mod l loses its degree or is not squarefree."""
+    disc = Fraction(discriminant(Poly(list(int_coeffs))))
+    return int_coeffs[-1] * disc.numerator
+
+
+def _reduce_rows(int_coeffs, primes):
+    """(P, d+1) matrix of the coefficients reduced mod each row's prime."""
+    try:
+        cs = np.array(int_coeffs, dtype=np.int64)
+    except OverflowError:   # a coefficient beyond int64: reduce exactly
+        cs = np.array(int_coeffs, dtype=object)
+        return (cs[None, :] % primes.astype(object)[:, None]).astype(np.int64)
+    return cs[None, :] % primes[:, None]
+
+
 def batch_factor_degrees(int_coeffs, primes):
     """Factor degree multisets of one integer polynomial mod many primes.
 
@@ -137,54 +248,47 @@ def batch_factor_degrees(int_coeffs, primes):
     reduction is not squarefree).  Raises ValueError when a prime is
     too large for exact int64 arithmetic at this degree.
     """
+    int_coeffs = tuple(int(c) for c in int_coeffs)
     d = len(int_coeffs) - 1
     if d < 1:
         raise ValueError("need positive degree")
-    max_prime = 1 + math.isqrt((2 ** 63 - 1) // d)   # see the overflow note
-    if len(primes) and max(int(ell) for ell in primes) > max_prime:
-        raise ValueError(f"primes above {max_prime} would overflow the "
-                         f"int64 kernel at degree {d}")
+    if len(primes):
+        _check_kernel_prime(d, max(int(ell) for ell in primes))
     primes = np.asarray(primes, dtype=np.int64)
     results: list = [None] * len(primes)
-    lc = int_coeffs[-1]
-    # degenerate primes: vanishing leading coefficient, or a repeated
-    # factor mod l (equivalent to l dividing the integer discriminant)
-    disc = discriminant(Poly(int_coeffs))
-    good = np.array([lc % int(ell) != 0 and
-                     (disc.numerator if isinstance(disc, Fraction)
-                      else disc) % int(ell) != 0
-                     for ell in primes])
-    # monic reductions
-    C = np.zeros((len(primes), d + 1), dtype=np.int64)
-    for idx, ell in enumerate(primes):
-        ell = int(ell)
-        if not good[idx]:
-            continue
-        inv = pow(lc % ell, -1, ell)
-        C[idx] = [(c * inv) % ell for c in int_coeffs]
-    gidx = np.nonzero(good)[0]
+    bad = _degenerate_numerator(int_coeffs)
+    gidx = np.nonzero(bad % primes.astype(object))[0]
     if len(gidx) == 0:
         return results
+    m = primes[gidx]
+    # monic reductions: multiply by lc^(l - 2), the inverse of lc mod l
+    C = _reduce_rows(int_coeffs, m)
+    C = C * _vec_powmod(C[:, -1], m - 2, m)[:, None] % m[:, None]
     kmax = d // 2
+    P = len(gidx)
+    # n[k] = number of irreducible factors of degree k, for k <= d/2
+    n = np.zeros((kmax + 1, P), dtype=np.int64)
     if kmax >= 1:
-        chains = _batch_frobenius_chains(C[gidx], primes[gidx], kmax)
-    for pos, idx in enumerate(gidx):
-        ell = int(primes[idx])
-        rem = [int(c) for c in C[idx]]
-        degs = []
+        chains = _batch_frobenius_chains(C, m, kmax)
+        chains[:, :, 1] = (chains[:, :, 1] - 1) % m   # x^(l^k) - x
+        g = _batch_gcd_degrees(chains.reshape(kmax * P, d),
+                               np.tile(C, (kmax, 1)),
+                               np.tile(m, kmax)).reshape(kmax, P)
         for k in range(1, kmax + 1):
-            if 2 * k > len(rem) - 1:
-                break
-            s = [int(c) for c in chains[k - 1, pos]]
-            s[1] = (s[1] - 1) % ell  # x^(l^k) - x
-            g = _poly_gcd_mod_p(s, rem, ell)
-            dg = len(g) - 1
-            if dg > 0:
-                degs.extend([k] * (dg // k))
-                rem = _poly_exact_div_mod_p(rem, g, ell)
-        if len(rem) - 1 > 0:
-            degs.append(len(rem) - 1)
-        results[idx] = tuple(sorted(degs))
+            below = sum(j * n[j] for j in range(1, k) if k % j == 0)
+            n[k], inexact = np.divmod(g[k - 1] - below, k)
+            if inexact.any() or (n[k] < 0).any():
+                raise ArithmeticError(f"gcd degrees at level {k} do not "
+                                      "fit a squarefree factorization")
+    # the rest is one irreducible factor of degree > d/2, if any
+    rest = d - (np.arange(kmax + 1)[:, None] * n).sum(axis=0)
+    if ((rest < 0) | ((rest > 0) & (rest <= kmax))).any():
+        raise ArithmeticError("factor degrees do not add up to the degree")
+    for idx, counts, r in zip(gidx.tolist(), n[1:].T.tolist(), rest.tolist()):
+        degs = [k for k, nk in enumerate(counts, 1) for _ in range(nk)]
+        if r:
+            degs.append(r)
+        results[idx] = tuple(degs)
     return results
 
 
@@ -231,14 +335,11 @@ class KField:
     """K = Q(sqrt(radicand)) for an integer radicand."""
     radicand: int
     is_rational: bool
-    squarefree_part: int | None = None   # None when factoring gave up
 
     @classmethod
     def from_radicand(cls, radicand: int) -> KField:
         """is_rational is an exact perfect-square test on the radicand."""
-        sf, full = _squarefree_part(radicand)
-        return cls(radicand, is_perfect_square(Fraction(radicand)),
-                   sf if full else None)
+        return cls(radicand, is_perfect_square(Fraction(radicand)))
 
     def __str__(self):
         return "Q" if self.is_rational else f"Q(sqrt({self.radicand}))"
@@ -353,12 +454,11 @@ def classify(P: Poly, prime_budget: int = 10 ** 4) -> GaloisCertificate:
     fm1 = f(-1)
     if f1 == 0 or fm1 == 0:
         return reject("boundary root: f(1) f(-1) = 0")
-    fd = f.gcd(f.derivative())
-    if fd.degree != 0:
+    disc_f = discriminant(f)
+    if disc_f == 0:
         raise NotSeparableError("stripped core has a repeated factor")
 
     K = compute_K(f)
-    disc_f = discriminant(f)
     disc_sq = is_perfect_square(Fraction(disc_f))
 
     h = to_trace_form(f).h
@@ -453,6 +553,7 @@ def chebotarev_validate(f: Poly, claimed: WGroup, prime_bound: int = 10 ** 5,
     if fm.degree != 2 * n:
         raise ValueError("degree of f does not match the claimed group")
     stats = class_statistics(n, claimed.plus)
+    _check_kernel_prime(2 * n, prime_bound)   # before the sieve allocates
     h = to_trace_form(fm).h
     int_f, den_f = _clear_denominators(fm)
     int_h, den_h = _clear_denominators(h)

@@ -2,16 +2,18 @@
 single-prime pipeline, K-field arithmetic, certificates on pinned
 inputs, and the statistics validator's pass/fail behavior."""
 
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from orthogal import galclass
 from orthogal.errors import (BudgetExceededError, NotReciprocalError,
                              NotSeparableError)
 from orthogal.ffield import get_field, _is_prime
-from orthogal.poly import Poly, discriminant, factor_degrees
+from orthogal.poly import Poly, discriminant, factor_degrees, is_irreducible
 from orthogal.recpoly import trace_lift
 from orthogal.galclass import (primes_up_to, batch_factor_degrees,
                                is_perfect_square, _squarefree_part,
@@ -51,6 +53,86 @@ def test_batch_factor_degrees_matches_single_prime():
             [rng.choice([1, 2, 3, -1])]
         results = batch_factor_degrees(coeffs, primes)
         _assert_matches_single_prime(coeffs, primes, results)
+    # degrees 9-12 reach the levels k = 4..6, where the degrees of the
+    # factors found at the divisors of k are subtracted
+    for deg in (9, 10, 11, 12):
+        for _ in range(3):
+            coeffs = [rng.randrange(-20, 21) for _ in range(deg)] + \
+                [rng.choice([1, 2, 3, -1])]
+            results = batch_factor_degrees(coeffs, primes)
+            _assert_matches_single_prime(coeffs, primes, results)
+    # coefficients beyond int64 are reduced exactly
+    for deg in (4, 7):
+        coeffs = [rng.randrange(-10 ** 30, 10 ** 30) for _ in range(deg)] + \
+            [rng.randrange(1, 10 ** 25)]
+        results = batch_factor_degrees(coeffs, primes)
+        _assert_matches_single_prime(coeffs, primes, results)
+
+
+def _first_irreducible_mod_3(k):
+    F = get_field(3)
+    for low in itertools.product(range(3), repeat=k):
+        if is_irreducible(Poly(list(low) + [1], F)):
+            return Poly(list(low) + [1], F)
+
+
+@pytest.mark.parametrize("degrees", [(1, 2, 4), (2, 4, 6)])
+def test_batch_factor_degrees_counts_each_level_once(degrees):
+    # a product of distinct irreducibles mod 3 of the given degrees: the
+    # level-k gcd also holds the factors of degree j | k, which must be
+    # subtracted exactly once
+    f = Poly([1], get_field(3))
+    for k in degrees:
+        f = f * _first_irreducible_mod_3(k)
+    assert batch_factor_degrees(list(f.coeffs), [3]) == [degrees]
+
+
+def _max_prime_below(bound):
+    ell = bound
+    while not _is_prime(ell):
+        ell -= 1
+    return ell
+
+
+@pytest.mark.parametrize(
+    "ell", [3, 9973, _max_prime_below(galclass._max_kernel_prime(10))])
+def test_batch_gcd_degrees_matches_poly_gcd(ell):
+    F = get_field(ell)
+    rng = random.Random(ell)
+    rows_a, rows_b, want = [], [], []
+    for _ in range(60):
+        c = Poly([rng.randrange(ell) for _ in range(rng.randrange(1, 5))], F)
+        a = Poly([rng.randrange(ell) for _ in range(rng.randrange(0, 6))], F)
+        b = Poly([rng.randrange(ell) for _ in range(rng.randrange(0, 6))], F)
+        if rng.random() < 0.7:      # a common factor c: a nontrivial gcd
+            a, b = a * c, b * c
+        if a.is_zero() and b.is_zero():
+            want.append(-1)
+        else:
+            want.append(a.gcd(b).degree)
+        rows_a.append(list(a.coeffs) + [0] * (11 - len(a.coeffs)))
+        rows_b.append(list(b.coeffs) + [0] * (11 - len(b.coeffs)))
+    got = galclass._batch_gcd_degrees(
+        np.array(rows_a, dtype=np.int64), np.array(rows_b, dtype=np.int64),
+        np.full(len(want), ell, dtype=np.int64))
+    assert got.tolist() == want
+
+
+def test_batch_factor_degrees_computes_discriminant_once(monkeypatch):
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return discriminant(f)
+
+    monkeypatch.setattr(galclass, "discriminant", counting)
+    galclass._degenerate_numerator.cache_clear()
+    coeffs = [-3, 1, 0, 1]
+    first = batch_factor_degrees(coeffs, [3, 5, 7, 11, 13])
+    again = batch_factor_degrees(coeffs, [3, 5, 7, 11, 13])
+    galclass._degenerate_numerator.cache_clear()
+    assert first == again and len(calls) == 1
+    _assert_matches_single_prime(coeffs, [3, 5, 7, 11, 13], first)
 
 
 def _primes_from(start, count):
@@ -106,13 +188,24 @@ def test_compute_K():
     # P = (T^2 - 3T + 1)-lift style: P(1) P(-1) = -5 with N/2 odd
     K2 = compute_K(Poly([1, -3, 1]))
     # N = 2: (-1)^1 * P(1)P(-1) = -(-1)(5) = 5
-    assert not K2.is_rational and K2.radicand == 5 \
-        and K2.squarefree_part == 5
+    assert not K2.is_rational and K2.radicand == 5
+    assert _squarefree_part(K2.radicand) == (5, True)
     assert str(K) == "Q" and str(K2) == "Q(sqrt(5))"
     with pytest.raises(ValueError):
         compute_K(Poly([1, 1, 1, 1]))      # odd degree
     with pytest.raises(ValueError):
         compute_K(Poly([-1, 0, 1]))        # P(1) = 0
+
+
+def test_compute_K_does_not_factor_the_radicand(monkeypatch):
+    def no_factoring(n, trial_bound=10 ** 6):
+        raise AssertionError("the radicand was factored")
+
+    monkeypatch.setattr(galclass, "_squarefree_part", no_factoring)
+    # P(1) P(-1) = 2 (10^12 + 39): trial division would take 0.1-0.2 s
+    K = compute_K(Poly([1, 10 ** 12 + 37, 1]))
+    assert K.radicand == -(10 ** 12 + 39) * (-(10 ** 12 + 35))
+    assert not K.is_rational
 
 
 def test_k_field_square_test_matches_is_perfect_square():
@@ -281,6 +374,20 @@ def test_chebotarev_validator_refuses_budget_before_scanning(monkeypatch):
     f = trace_lift(Poly([1] * 26))           # degree 50: n = 25 is over budget
     with pytest.raises(BudgetExceededError):
         chebotarev_validate(f, WGroup(25, False))
+
+
+def test_chebotarev_validator_refuses_large_bound_before_sieving(
+        monkeypatch):
+    def no_sieve(bound):
+        raise AssertionError("sieve allocated before the bound check")
+
+    monkeypatch.setattr(galclass, "primes_up_to", no_sieve)
+    f = trace_lift(Poly([-3, -1, 1]))
+    with pytest.raises(ValueError, match="overflow the int64 kernel"):
+        chebotarev_validate(f, WGroup(2, False), prime_bound=10 ** 10)
+    bound = galclass._max_kernel_prime(4)
+    with pytest.raises(ValueError, match=f"primes above {bound} "):
+        chebotarev_validate(f, WGroup(2, False), prime_bound=bound + 1)
 
 
 def test_chebotarev_validator_degree_16():

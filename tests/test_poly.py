@@ -7,8 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from orthogal.ffield import (get_field, _poly_exact_div_mod_p, _poly_gcd_mod_p,
-                             _poly_mul_mod_p, _poly_rem_mod_p)
+from orthogal.ffield import get_field, _poly_mul_mod_p, _poly_rem_mod_p
 from orthogal.poly import (Poly, factor, factor_degrees, is_irreducible,
                            resultant, discriminant, squarefree_decomposition,
                            poly_from_string, poly_to_string, _resultant_mod)
@@ -167,15 +166,8 @@ def test_fp_kernel_matches_poly(ell):
         c = [rng.randrange(ell) for _ in range(rng.randrange(1, 5))]
         pa, pb, pm, pc = (Poly(u, F) for u in (a, b, m, c))
         assert Poly(_poly_mul_mod_p(a, b, ell), F) == pa * pb
+        assert Poly(_poly_mul_mod_p(a, c, ell), F) == pa * pc
         assert Poly(_poly_rem_mod_p(a, m, ell), F) == pa % pm
-        # a common factor c makes the gcd nontrivial
-        ac, bc = _poly_mul_mod_p(a, c, ell), _poly_mul_mod_p(b, c, ell)
-        assert Poly(_poly_gcd_mod_p(ac, bc, ell), F) == \
-            Poly(ac, F).gcd(Poly(bc, F))
-        assert Poly(_poly_gcd_mod_p(a, b, ell), F) == pa.gcd(pb)
-        if not pc.is_zero():
-            assert Poly(_poly_exact_div_mod_p(ac, c[:pc.degree + 1], ell),
-                        F) == pa
         assert _resultant_mod(a, b, ell) == resultant(pa, pb)
 
 
