@@ -469,6 +469,7 @@ def classify(P: Poly, prime_budget: int = 10 ** 4) -> GaloisCertificate:
     needed = {1, 2, 3, 4, 5}
     even_plus = (N % 2 == 0 and sp.epsilon == 1)
     want6 = not even_plus
+    _check_kernel_prime(f.degree, prime_budget)   # before the sieve allocates
     primes = primes_up_to(prime_budget)
     primes = primes[primes > 2]
     chunk = 256

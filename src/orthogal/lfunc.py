@@ -26,9 +26,10 @@ from math import gcd, prod
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, NotSeparableError
 from .ffield import Fq, get_field, conway_like_modulus
-from .galclass import KField, classify, group_constraint, _squarefree_part
+from .galclass import (KField, classify, group_constraint, _batch_gcd_degrees,
+                       _squarefree_part)
 from .poly import Poly, discriminant, factor
 from .signedperm import WGroup
 
@@ -148,6 +149,11 @@ def kodaira_table_row(symbol: str):
     raise ValueError(f"unknown Kodaira symbol {symbol!r}")
 
 
+def _is_multiplicative(symbol: str) -> bool:
+    """True for the multiplicative types I_n, n >= 1 (not II, III, IV)."""
+    return symbol != "I0" and symbol[:1] == "I" and symbol[1:].isdigit()
+
+
 def _symbol_from_valuations(vc4: int, vdelta: int) -> str:
     """Kodaira symbol from the valuations of (c4, Delta) at a place
     where the model is minimal (residue characteristic >= 5)."""
@@ -241,7 +247,7 @@ def _place_data(field: Fq, A: Poly, B: Poly, pi: Poly, label) -> PlaceData:
         kv, t0 = _residue_field_and_root(field, pi)
         a_v = int(_fiber_traces(kv, [_embed_poly(A, kv)(t0)],
                                 [_embed_poly(B, kv)(t0)])[0])
-    elif symbol.startswith("I") and not symbol.endswith("*"):
+    elif _is_multiplicative(symbol):
         kv, t0 = _residue_field_and_root(field, pi)
         val = _embed_poly(c6, kv)(t0)
         a_v = kv.square_class(kv.neg(val)).sign
@@ -502,8 +508,11 @@ class LPolynomial:
         return [Fraction(c, self.Q ** j) for j, c in enumerate(self.coeffs)]
 
     def functional_equation_holds(self) -> bool:
+        """coeffs[N - j] == eps Q^(N - 2j) coeffs[j] for every j, checked
+        in integers (a negative power of Q moves to the other side)."""
         N, Q, e = self.N_d, self.Q, self.epsilon
-        return all(self.coeffs[N - j] == e * Q ** (N - 2 * j) * self.coeffs[j]
+        return all(self.coeffs[N - j] * Q ** max(0, 2 * j - N)
+                   == e * self.coeffs[j] * Q ** max(0, N - 2 * j)
                    for j in range(N + 1))
 
     def inverse_root_abs_error(self) -> float:
@@ -627,15 +636,14 @@ def _power_sum(FQ: Fq, k: int, Am: Poly, Bm: Poly, Dm: Poly,
         S = int((tr * T.CHI[uv]).sum())
     for pd in finite_places:
         r = pd.degree
-        if k % r == 0 and pd.kodaira != "I0" and not pd.kodaira.endswith("*") \
-                and pd.kodaira not in ("II", "III", "IV"):
+        if k % r == 0 and _is_multiplicative(pd.kodaira):
             S += r * pd.a_v ** (k // r)
     sym = inf_pd.kodaira
     if sym == "I0":
         a, b = inf_consts
         emb = _embedding_table(FQ, Fk)
         S += int(_fiber_traces(Fk, [int(emb[a])], [int(emb[b])])[0])
-    elif sym.startswith("I") and not sym.endswith("*"):
+    elif _is_multiplicative(sym):
         S += inf_pd.a_v ** k
     return S
 
@@ -648,7 +656,7 @@ def _twisted_places(FQ: Fq, places0, u: Poly):
     out = []
     for pd in places0:
         sym = pd.kodaira
-        if sym != "I0" and sym.startswith("I") and not sym.endswith("*"):
+        if _is_multiplicative(sym):
             kv, t0 = _residue_field_and_root(FQ, pd.place)
             s = kv.square_class(_embed_poly(u, kv)(t0)).sign
             out.append(PlaceData(place=pd.place, degree=pd.degree,
@@ -787,29 +795,48 @@ def l_function(E: FqTCurve, u: Poly | None = None, n: int = 1,
 # ---------------------------------------------------------------------------
 
 
-def enumerate_twists(E: FqTCurve, d: int, n: int = 1):
-    """All squarefree u of degree d over F_{q^n} coprime to the finite
-    bad places of E (the parameter space of the twist family)."""
+def _twist_family(E: FqTCurve, d: int, n: int = 1):
+    """(FQ, rows): the ascending coefficient rows, (d + 1) int64 columns,
+    of every squarefree u of degree d over FQ = F_{q^n} coprime to the
+    finite bad places of E.
+
+    Candidates run in enumeration order: the low coefficients are the
+    base-Q digits of a counter, and the leading coefficient 1..Q-1 runs
+    fastest.  Over a prime field one batched Euclid over all candidates
+    keeps the rows with deg gcd(u, u') = 0 and deg gcd(u, m) = 0 for the
+    bad modulus m (a zero u' leaves gcd(u, u') = u).  Extension fields
+    test each candidate as a Poly.
+    """
+    if d < 0:
+        raise ValueError("d must be >= 0")
     F = E.field
     FQ = F if n == 1 else get_field(F.p, F.e * n)
     if FQ.e > 1 and FQ.q <= 2048:
         FQ.build_tables()
+    Q = FQ.q
     m = _embed_poly(bad_modulus(E), FQ)
-    out = []
-    for code in range(FQ.q ** d):
-        cs = []
-        c = code
-        for _ in range(d):
-            cs.append(c % FQ.q)
-            c //= FQ.q
-        for lead in range(1, FQ.q):
-            u = Poly(cs + [lead], FQ)
-            if not u.is_squarefree():
-                continue
-            if m.degree > 0 and u.gcd(m).degree > 0:
-                continue
-            out.append(u)
-    return out
+    code, lead = np.divmod(np.arange(Q ** d * (Q - 1), dtype=np.int64), Q - 1)
+    rows = np.empty((len(code), d + 1), dtype=np.int64)
+    for i in range(d):
+        code, rows[:, i] = np.divmod(code, Q)
+    rows[:, d] = lead + 1
+    if FQ.e > 1:
+        us = (Poly(r, FQ) for r in rows.tolist())
+        return FQ, rows[np.array([u.is_squarefree() and u.gcd(m).degree == 0
+                                  for u in us], dtype=bool)]
+    mod = np.full(len(rows), Q, dtype=np.int64)
+    deriv = np.zeros_like(rows)
+    deriv[:, :d] = rows[:, 1:] * np.arange(1, d + 1) % Q
+    rows = rows[_batch_gcd_degrees(rows, deriv, mod) == 0]
+    ms = np.tile(np.array(m.coeffs, dtype=np.int64), (len(rows), 1))
+    return FQ, rows[_batch_gcd_degrees(rows, ms, mod[:len(rows)]) == 0]
+
+
+def enumerate_twists(E: FqTCurve, d: int, n: int = 1):
+    """All squarefree u of degree d over F_{q^n} coprime to the finite
+    bad places of E (the parameter space of the twist family)."""
+    FQ, rows = _twist_family(E, d, n)
+    return [Poly(r, FQ) for r in rows.tolist()]
 
 
 @dataclass
@@ -817,7 +844,7 @@ class TwistRecord:
     u_coeffs: tuple
     epsilon: int
     target: WGroup
-    status: str
+    status: str                # a classify status, or "NotSeparable"
     claimed: WGroup | None
     match: bool
 
@@ -865,12 +892,15 @@ def survey_delta(E: FqTCurve, d: int, n: int = 1, sample: int | None = None,
         raise ValueError("family degree N_d below 3")
     has_star = any(pd.kodaira == "I0*" for pd in finite_bad_places(E))
     hypotheses = (Nd >= max(6 * Bsum, 3)) and (d >= 2 or has_star)
-    us = enumerate_twists(E, d, n)
-    if not us:
+    FQ, rows = _twist_family(E, d, n)
+    family_size = len(rows)
+    if not family_size:
         raise ValueError("empty twist family")
-    family_size = len(us)
-    if sample is not None and sample < len(us):
-        us = random.Random(seed).sample(us, sample)
+    # sample() draws the same indices from any population of this length
+    picks = range(family_size)
+    if sample is not None and sample < family_size:
+        picks = random.Random(seed).sample(picks, sample)
+    us = [Poly(rows[i].tolist(), FQ) for i in picks]
     records = []
     confusion: dict = {}
     eps_counts = {1: 0, -1: 0}
@@ -886,17 +916,21 @@ def survey_delta(E: FqTCurve, d: int, n: int = 1, sample: int | None = None,
                                   f"for u = {list(u.coeffs)}")
         eps_counts[L.epsilon] += 1
         target = twist_target_group(Nd, L.epsilon, Dd)
-        cert = classify(Poly(L.p_u()), prime_budget=prime_budget)
-        match = (cert.status == "Certified" and cert.claimed_group == target)
+        try:
+            cert = classify(Poly(L.p_u()), prime_budget=prime_budget)
+        except NotSeparableError:
+            # a repeated factor of P_u is an outcome of this twist alone
+            status, claimed = "NotSeparable", None
+        else:
+            status, claimed = cert.status, cert.claimed_group
+        match = (status == "Certified" and claimed == target)
         matches += match
         # keyed by the printed names: an outcome is a group or a status
-        key = (str(target), str(cert.claimed_group)
-               if cert.status == "Certified" else cert.status)
+        key = (str(target), str(claimed) if status == "Certified" else status)
         confusion[key] = confusion.get(key, 0) + 1
         records.append(TwistRecord(
             u_coeffs=tuple(int(c) for c in u.coeffs), epsilon=L.epsilon,
-            target=target, status=cert.status,
-            claimed=cert.claimed_group, match=match))
+            target=target, status=status, claimed=claimed, match=match))
         if Nd % 2 == 0 and L.epsilon == 1:
             disc = discriminant(Poly(L.p_u()))
             disc = Fraction(disc)

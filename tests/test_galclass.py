@@ -390,6 +390,19 @@ def test_chebotarev_validator_refuses_large_bound_before_sieving(
         chebotarev_validate(f, WGroup(2, False), prime_bound=bound + 1)
 
 
+def test_classify_refuses_large_budget_before_sieving(monkeypatch):
+    def no_sieve(bound):
+        raise AssertionError("sieve allocated before the budget check")
+
+    monkeypatch.setattr(galclass, "primes_up_to", no_sieve)
+    f = trace_lift(Poly([-3, -1, 1]))
+    with pytest.raises(ValueError, match="overflow the int64 kernel"):
+        classify(f, prime_budget=10 ** 10)
+    bound = galclass._max_kernel_prime(4)
+    with pytest.raises(ValueError, match=f"primes above {bound} "):
+        classify(f, prime_budget=bound + 1)
+
+
 def test_chebotarev_validator_degree_16():
     f = trace_lift(Poly([1, -4, -2, -4, 3, 1, -5, 4, 1]))
     assert classify(f).claimed_group == WGroup(8, False)

@@ -6,16 +6,18 @@ import random
 
 import pytest
 
-from orthogal.errors import BudgetExceededError
+from orthogal import lfunc
+from orthogal.errors import BudgetExceededError, NotSeparableError
 from orthogal.ffield import get_field
 from orthogal.poly import Poly
 from orthogal.signedperm import WGroup
 from orthogal.lfunc import (FqTCurve, quadratic_twist, INFINITY,
                             kodaira_table_row, kodaira_at,
                             finite_bad_places, bad_modulus,
-                            invariants_Nd_Dd_B, l_function,
+                            invariants_Nd_Dd_B, l_function, LPolynomial,
                             enumerate_twists, twist_target_group,
-                            _embedding_table, _symbol_from_valuations)
+                            survey_delta, _embed_poly, _embedding_table,
+                            _symbol_from_valuations, _twist_family)
 
 
 def _legendre(q=5):
@@ -64,6 +66,35 @@ def test_symbol_from_valuations_pinned():
     assert _symbol_from_valuations(4, 10) == "II*"
     with pytest.raises(ValueError):
         _symbol_from_valuations(5, 12)
+
+
+# (A, B) with each additive Kodaira symbol at the place t = 0; I_n* needs
+# 4A^3 + 27B^2 = 108 t^(6+n) + 27 t^(6+2n)
+ADDITIVE = {"II": ([0, 1], [0, 1]), "III": ([0, 1], [0, 0, 1]),
+            "IV": ([0, 0, 1], [0, 0, 1]), "I0*": ([0, 0, 1], [0, 0, 0, 1]),
+            "I1*": ([0, 0, -3], [0, 0, 0, 2, 1]),
+            "I2*": ([0, 0, -3], [0, 0, 0, 2, 0, 1]),
+            "IV*": ([0, 0, 0, 1], [0, 0, 0, 0, 1]),
+            "III*": ([0, 0, 0, 1], [0, 0, 0, 0, 0, 1]),
+            "II*": ([0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 1])}
+
+
+@pytest.mark.parametrize("q", [5, 7])
+@pytest.mark.parametrize("symbol", sorted(ADDITIVE))
+def test_additive_places_have_zero_trace(symbol, q):
+    F = get_field(q)
+    A, B = ADDITIVE[symbol]
+    finite = kodaira_at(FqTCurve.from_coeff_lists(F, A, B), Poly.x(F))
+
+    def reverse(c, width):
+        return (c + [0] * width)[:width][::-1]
+
+    # t^8 A(1/t), t^12 B(1/t) carry the same model to the place at infinity
+    at_inf = kodaira_at(FqTCurve.from_coeff_lists(F, reverse(A, 9),
+                                                  reverse(B, 13)), INFINITY)
+    for pd in (finite, at_inf):
+        assert pd.kodaira == symbol
+        assert pd.a_v == 0
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +155,16 @@ def test_legendre_invariants_pinned():
     assert invariants_Nd_Dd_B(E, 4) == (8, 1, 0)
     with pytest.raises(ValueError):
         invariants_Nd_Dd_B(E, 0)
+
+
+def test_functional_equation_check_is_exact():
+    # coefficients past the middle need Q^(N - 2j) with N - 2j < 0
+    L = LPolynomial(coeffs=(1, -8, 42, -392, 2401), N_d=4, epsilon=1, Q=7)
+    assert L.functional_equation_holds()
+    assert not LPolynomial(L.coeffs, 4, -1, 7).functional_equation_holds()
+    assert not LPolynomial((1, -8, 42, -391, 2401), 4, 1,
+                           7).functional_equation_holds()
+    assert LPolynomial((1, 5), 1, 1, 5).functional_equation_holds()
 
 
 def _naive_fiber_trace(q, a, b):
@@ -283,3 +324,136 @@ def test_embedding_table_is_a_field_homomorphism():
             for b in range(0, Fs.q, max(1, Fs.q // 7)):
                 assert emb[Fs.add(a, b)] == Fb.add(int(emb[a]), int(emb[b]))
                 assert emb[Fs.mul(a, b)] == Fb.mul(int(emb[a]), int(emb[b]))
+
+
+def _seeded_curve(family, q, seed):
+    """A Legendre-type curve y^2 = x(x - a)(x - b) with deg a = deg b = 1,
+    or y^2 = x^3 + A x + B with t | A and t || B, so t = 0 is additive
+    of type II; coefficients from a seeded generator."""
+    F = get_field(q)
+    rng = random.Random(seed)
+    while True:
+        c0, c1 = rng.randrange(q), rng.randrange(q)
+        u0, u1 = rng.randrange(1, q), rng.randrange(1, q)
+        try:
+            if family == "general":
+                return FqTCurve.from_coeff_lists(F, [0, c0, u0], [0, u1, c1])
+            a, b = Poly([c0, u0], F), Poly([c1, u1], F)
+            zero = Poly([0], F)
+            return FqTCurve.from_a_invariants(F, zero, -(a + b), zero, a * b,
+                                              zero)
+        except ValueError:      # singular model
+            continue
+
+
+def _scalar_twist_rows(E, d, n=1):
+    """The twist family by the per-candidate Poly filter, in enumeration
+    order: the reference for the batched filter."""
+    FQ = E.field if n == 1 else get_field(E.field.p, E.field.e * n)
+    Q = FQ.q
+    m = _embed_poly(bad_modulus(E), FQ)
+    rows = []
+    for code in range(Q ** d):
+        low = [code // Q ** i % Q for i in range(d)]
+        for lead in range(1, Q):
+            u = Poly(low + [lead], FQ)
+            if u.is_squarefree() and u.gcd(m).degree == 0:
+                rows.append(low + [lead])
+    return rows
+
+
+# the general curve at q = 11, d = 4 is left out: its 146,410 scalar
+# candidates take about 9 s, and the Legendre curve runs that size; at
+# d = q = 5 the candidates c0 + c5 t^5 have u' = 0
+TWIST_FAMILY_CASES = [(q, d, family) for q in (5, 7, 11) for d in (1, 2, 3, 4)
+                      for family in ("legendre", "general")
+                      if (q, d, family) != (11, 4, "general")]
+TWIST_FAMILY_CASES.append((5, 5, "legendre"))
+
+
+@pytest.mark.parametrize("q,d,family", TWIST_FAMILY_CASES)
+def test_twist_family_matches_scalar_filter(q, d, family):
+    E = _seeded_curve(family, q, seed=10 * q + d)
+    FQ, rows = _twist_family(E, d)
+    assert FQ == E.field and rows.shape[1] == d + 1
+    assert rows.tolist() == _scalar_twist_rows(E, d)
+    assert [u.coeffs for u in enumerate_twists(E, d)] == \
+        [tuple(r) for r in rows.tolist()]
+
+
+def test_twist_family_over_extension_field():
+    E = _seeded_curve("general", 5, seed=25)
+    FQ, rows = _twist_family(E, 2, n=2)
+    assert FQ.q == 25
+    assert rows.tolist() == _scalar_twist_rows(E, 2, n=2)
+
+
+def _closed_form_family_size(q, d, place_degrees):
+    """(q - 1) [x^d] ((1 - q x^2)/(1 - q x)) / prod (1 + x^deg pi)."""
+    series = [1] + [q ** k - (q ** (k - 1) if k >= 2 else 0)
+                    for k in range(1, d + 1)]
+    for r in place_degrees:
+        for k in range(r, d + 1):      # divide by 1 + x^r
+            series[k] -= series[k - r]
+    return (q - 1) * series[d]
+
+
+@pytest.mark.parametrize("q", [5, 7, 11])
+def test_twist_family_size_closed_form(q):
+    for family in ("legendre", "general"):
+        for d in (1, 2, 3, 4):
+            E = _seeded_curve(family, q, seed=10 * q + d)
+            degs = [pd.degree for pd in finite_bad_places(E)]
+            assert len(_twist_family(E, d)[1]) == \
+                _closed_form_family_size(q, d, degs)
+    E = _legendre(q)
+    rep = survey_delta(E, 2, sample=1)
+    assert rep.family_size == _closed_form_family_size(q, 2, [1, 1])
+
+
+def test_survey_samples_the_enumerated_family():
+    E = _legendre()
+    rep = survey_delta(E, 2, sample=3, seed=11)
+    want = random.Random(11).sample(enumerate_twists(E, 2), 3)
+    assert [r.u_coeffs for r in rep.records] == [u.coeffs for u in want]
+    assert rep.family_size == 52 and rep.sampled == 3
+
+
+def test_sampled_survey_builds_only_the_drawn_twists(monkeypatch):
+    calls = []
+    is_squarefree = Poly.is_squarefree
+
+    def counting(self):
+        calls.append(self)
+        return is_squarefree(self)
+
+    def no_listing(*args, **kwargs):
+        raise AssertionError("the survey listed the whole family")
+
+    monkeypatch.setattr(Poly, "is_squarefree", counting)
+    monkeypatch.setattr(lfunc, "enumerate_twists", no_listing)
+    rep = survey_delta(_legendre(7), 3, sample=2, seed=3)
+    assert rep.sampled == 2 and rep.family_size > 1000
+    assert len(calls) <= 2
+
+
+def test_survey_records_a_non_separable_twist(monkeypatch):
+    classify = lfunc.classify
+    seen = []
+
+    def patched(P, prime_budget):
+        seen.append(P)
+        if len(seen) == 2:
+            raise NotSeparableError("stripped core has a repeated factor")
+        return classify(P, prime_budget=prime_budget)
+
+    monkeypatch.setattr(lfunc, "classify", patched)
+    rep = survey_delta(_legendre(), 2, sample=4, seed=0)
+    assert len(seen) == rep.sampled == 4
+    bad = rep.records[1]
+    assert (bad.status, bad.claimed, bad.match) == ("NotSeparable", None,
+                                                    False)
+    assert rep.confusion[(str(bad.target), "NotSeparable")] == 1
+    assert sum(rep.confusion.values()) == 4
+    assert all(r.status == "Certified" for i, r in enumerate(rep.records)
+               if i != 1)
