@@ -304,8 +304,12 @@ def finite_bad_places(E: FqTCurve):
 def bad_modulus(E: FqTCurve) -> Poly:
     """Monic squarefree m(t) whose irreducible factors are the finite
     bad places."""
-    out = Poly([1], E.field)
-    for pd in finite_bad_places(E):
+    return _places_product(E.field, finite_bad_places(E))
+
+
+def _places_product(F: Fq, places) -> Poly:
+    out = Poly([1], F)
+    for pd in places:
         out = out * pd.place
     return out
 
@@ -318,11 +322,15 @@ def invariants_Nd_Dd_B(E: FqTCurve, d: int):
     f_v(E) deg v - 4 + 2d; D_d multiplies gamma_inf of the t^d twist by
     the gamma_v^{deg v}; B sums b_v deg v over the finite places.
     """
+    return _invariants(E, d, finite_bad_places(E))
+
+
+def _invariants(E: FqTCurve, d: int, fps):
+    """invariants_Nd_Dd_B from the finite bad places fps of E."""
     if d < 1:
         raise ValueError("d must be >= 1")
     td = Poly([0] * d + [1], E.field)
     inf = kodaira_at(quadratic_twist(E, td, check_squarefree=False), INFINITY)
-    fps = finite_bad_places(E)
     Nd = inf.f_v + sum(pd.f_v * pd.degree for pd in fps) - 4 + 2 * d
     Dd = inf.gamma_v * prod(pd.gamma_v ** pd.degree for pd in fps)
     B = sum(pd.b_v * pd.degree for pd in fps)
@@ -731,10 +739,7 @@ def l_function(E: FqTCurve, u: Poly | None = None, n: int = 1,
     def extend_to(m):
         while len(S) < m:
             k = len(S) + 1
-            if Q ** (2 * k) > budget:
-                raise BudgetExceededError(
-                    f"level {k} fiber count needs Q^(2k) = {Q ** (2 * k)} "
-                    f"> budget {budget}")
+            _check_level_budget(Q, k, budget)
             S.append(_power_sum(FQ, k, Am, Bm, Dm, finite_places,
                                 inf_pd, inf_consts, u=u_count))
             j = len(b)
@@ -790,15 +795,23 @@ def l_function(E: FqTCurve, u: Poly | None = None, n: int = 1,
     return out
 
 
+def _check_level_budget(Q: int, k: int, budget: int):
+    """Refuse the level-k fiber count, which costs about Q^(2k)."""
+    if Q ** (2 * k) > budget:
+        raise BudgetExceededError(
+            f"level {k} fiber count needs Q^(2k) = {Q ** (2 * k)} "
+            f"> budget {budget}")
+
+
 # ---------------------------------------------------------------------------
 # Twist families and surveys
 # ---------------------------------------------------------------------------
 
 
-def _twist_family(E: FqTCurve, d: int, n: int = 1):
+def _twist_family(E: FqTCurve, d: int, n: int = 1, places=None):
     """(FQ, rows): the ascending coefficient rows, (d + 1) int64 columns,
     of every squarefree u of degree d over FQ = F_{q^n} coprime to the
-    finite bad places of E.
+    finite bad places of E (computed unless given as places).
 
     Candidates run in enumeration order: the low coefficients are the
     base-Q digits of a counter, and the leading coefficient 1..Q-1 runs
@@ -814,7 +827,9 @@ def _twist_family(E: FqTCurve, d: int, n: int = 1):
     if FQ.e > 1 and FQ.q <= 2048:
         FQ.build_tables()
     Q = FQ.q
-    m = _embed_poly(bad_modulus(E), FQ)
+    if places is None:
+        places = finite_bad_places(E)
+    m = _embed_poly(_places_product(F, places), FQ)
     code, lead = np.divmod(np.arange(Q ** d * (Q - 1), dtype=np.int64), Q - 1)
     rows = np.empty((len(code), d + 1), dtype=np.int64)
     for i in range(d):
@@ -887,12 +902,17 @@ def survey_delta(E: FqTCurve, d: int, n: int = 1, sample: int | None = None,
     (-1)^{N/2} disc(P_u) is constant over the eps=+1 twists and equal
     to the square class of (-1)^{N/2} D_d.
     """
-    Nd, Dd, Bsum = invariants_Nd_Dd_B(E, d)
+    fps = finite_bad_places(E)
+    Nd, Dd, Bsum = _invariants(E, d, fps)
     if Nd < 3:
         raise ValueError("family degree N_d below 3")
-    has_star = any(pd.kodaira == "I0*" for pd in finite_bad_places(E))
+    # every twist's l_function counts levels 1..ceil(N_d/2): refuse an
+    # unaffordable level before the family is built
+    for k in range(1, -(-Nd // 2) + 1):
+        _check_level_budget(E.field.q ** n, k, budget)
+    has_star = any(pd.kodaira == "I0*" for pd in fps)
     hypotheses = (Nd >= max(6 * Bsum, 3)) and (d >= 2 or has_star)
-    FQ, rows = _twist_family(E, d, n)
+    FQ, rows = _twist_family(E, d, n, fps)
     family_size = len(rows)
     if not family_size:
         raise ValueError("empty twist family")

@@ -3,11 +3,20 @@ Orthogonal groups of diagonal quadratic forms over F_q (q odd).
 
 An OrthSpace is a diagonal Gram matrix over F_q; up to isomorphism a
 space is determined by (q, dimension, discriminant square class).  The
-module provides spinor norms (fast characteristic-polynomial path with
-a reflection-factorization fallback), brute-force enumeration of O(V)
-for tiny spaces, exact conjugacy-class proportions for prescribed
-characteristic polynomials, and the per-coset class densities that
-drive the sieve experiments.
+module provides spinor norms, brute-force enumeration of O(V) for tiny
+spaces, exact conjugacy-class proportions for prescribed characteristic
+polynomials, and the per-coset class densities that drive the sieve
+experiments.
+
+Spinor norms follow Zassenhaus (On the spinor norm, Arch. Math. 13,
+1962), normalised so that a reflection r_v has spin(r_v) = class(<v,v>).
+With M = I - A of rank r and any r-subset J of indices whose principal
+minor det M[J,J] is non-zero (one exists, and its columns span
+im(1 - A)),
+
+    spin(A) = class(2^r * prod_{j in J} g_j * det M[J,J]),
+
+where g is the diagonal Gram matrix; the identity has spin Square.
 
 Enumeration is restricted to prime q so matrices can live in numpy
 arrays; everything else works over any odd prime power.
@@ -17,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
+from math import prod
 import random
 
 import numpy as np
@@ -160,7 +170,7 @@ class OrthElem:
     def det(self) -> int:
         """Determinant as +1 or -1."""
         F = self.space.field
-        d = _det_field(self.matrix, F)
+        d = _rank_det(self.matrix, F)[1]
         if d == 1:
             return 1
         if d == F.from_int(-1):
@@ -170,17 +180,13 @@ class OrthElem:
     def char_reciprocal(self) -> Poly:
         """P(T) = det(I - A T)."""
         F = self.space.field
-        N = self.space.N
         # coefficient of T^k is (-1)^k * (sum of principal k x k minors)
         coeffs = [1]
-        for k in range(1, N + 1):
+        for k in range(1, self.space.N + 1):
             s = 0
-            for subset in _k_subsets(N, k):
-                sub = [[self.matrix[i][j] for j in subset] for i in subset]
-                s = F.add(s, _det_field(sub, F))
-            if k % 2 == 1:
-                s = F.neg(s)
-            coeffs.append(s)
+            for _, minor in _field_principal_minors(self.matrix, F, k):
+                s = F.add(s, minor)
+            coeffs.append(F.neg(s) if k % 2 else s)
         return Poly(coeffs, F)
 
 
@@ -191,9 +197,11 @@ def _dot(F, a, b):
     return acc
 
 
-def _k_subsets(n, k):
-    from itertools import combinations
-    return combinations(range(n), k)
+def _field_principal_minors(m, F: Fq, k: int):
+    """(J, det m[J,J]) over F for every k-subset J, in lexicographic
+    order."""
+    for J in combinations(range(len(m)), k):
+        yield J, _rank_det([[m[i][j] for j in J] for i in J], F)[1]
 
 
 def _is_orthogonal(m, V: OrthSpace) -> bool:
@@ -209,30 +217,29 @@ def _is_orthogonal(m, V: OrthSpace) -> bool:
     return True
 
 
-def _det_field(m, F: Fq):
-    """Determinant over F_q by elimination (small matrices)."""
+def _rank_det(m, F: Fq):
+    """(rank, det) of a square matrix over F_q by elimination (small
+    matrices); det is 0 below full rank."""
     n = len(m)
     a = [list(row) for row in m]
-    det = 1
+    rank, det = 0, 1
     for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col]:
-                piv = r
-                break
+        piv = next((r for r in range(rank, n) if a[r][col]), None)
         if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
+            det = 0
+            continue
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
             det = F.neg(det)
-        det = F.mul(det, a[col][col])
-        inv = F.inv(a[col][col])
-        for r in range(col + 1, n):
+        det = F.mul(det, a[rank][col])
+        inv = F.inv(a[rank][col])
+        for r in range(rank + 1, n):
             if a[r][col]:
                 c = F.mul(a[r][col], inv)
                 for cc in range(col, n):
-                    a[r][cc] = F.sub(a[r][cc], F.mul(c, a[col][cc]))
-    return det
+                    a[r][cc] = F.sub(a[r][cc], F.mul(c, a[rank][cc]))
+        rank += 1
+    return rank, det
 
 
 def identity_elem(V: OrthSpace) -> OrthElem:
@@ -263,62 +270,35 @@ def reflection(V: OrthSpace, v) -> OrthElem:
 # ---------------------------------------------------------------------------
 
 
-def _reflection_factorization_spin(A: OrthElem):
-    """Spinor norm via an explicit reflection factorization.
-
-    Processes the orthogonal basis vectors in order; each step composes
-    with one or two reflections that move A e_k to e_k while fixing the
-    previously handled basis vectors.  The product of the <v,v> of the
-    used reflection vectors represents the spinor norm; the parity of
-    their number is the determinant.
-    """
-    V = A.space
-    F = V.field
-    N = V.N
-    cur = A
-    spin_rep = 1
-    count = 0
-    for k in range(N):
-        e_k = tuple(1 if i == k else 0 for i in range(N))
-        y = cur.apply(e_k)
-        if y == e_k:
-            continue
-        w = tuple(F.sub(yi, xi) for yi, xi in zip(y, e_k))
-        ww = V.inner(w, w)
-        if ww != 0:
-            r = reflection(V, w)
-            cur = r * cur
-            spin_rep = F.mul(spin_rep, ww)
-            count += 1
-        else:
-            u = tuple(F.add(yi, xi) for yi, xi in zip(y, e_k))
-            uu = V.inner(u, u)
-            r_u = reflection(V, u)
-            r_x = reflection(V, e_k)
-            cur = r_x * (r_u * cur)
-            spin_rep = F.mul(spin_rep, F.mul(uu, V.inner(e_k, e_k)))
-            count += 2
-    if cur != identity_elem(V):
-        raise RuntimeError("reflection factorization failed")
-    return F.square_class(spin_rep) if spin_rep else SQUARE, (-1) ** count
-
-
 def spinor_norm(A: OrthElem) -> SquareClass:
-    """Spinor norm of A as a square class.
+    """Spinor norm of A as a square class, by Zassenhaus' formula (On
+    the spinor norm, Arch. Math. 13, 1962).
 
-    Fast path: when P(-1) = det(I + A) != 0, spin(A) = class(2^N P(-1)).
-    Otherwise falls back to the reflection factorization.
+    Let M = I - A have rank r.  Some r-subset J of indices has
+    det M[J,J] != 0 (a coordinate complement of ker M), and the columns
+    M e_j, j in J, are then a basis of im(1 - A).  On it Zassenhaus'
+    form (x, y) -> <x, v>, y = M v, has Gram matrix (g_j M[j,i]), so
+
+        spin(A) = class(2^r prod_{j in J} g_j det M[J,J]),
+
+    where the 2^r normalises to spin(r_v) = class(<v,v>).  The identity
+    (r = 0, J empty) has spin Square.  J is the first such subset in
+    lexicographic order.  Works over any odd q.
     """
     V = A.space
     F = V.field
     N = V.N
-    m = A.matrix
-    iplus = [[F.add(1 if i == j else 0, m[i][j]) for j in range(N)] for i in range(N)]
-    d = _det_field(iplus, F)
-    if d != 0:
-        return F.square_class(F.mul(F.pow(F.from_int(2), N), d))
-    spin, _ = _reflection_factorization_spin(A)
-    return spin
+    M = [[F.sub(1 if i == j else 0, A.matrix[i][j]) for j in range(N)]
+         for i in range(N)]
+    r = _rank_det(M, F)[0]
+    for J, minor in _field_principal_minors(M, F, r):
+        if minor:
+            c = F.pow(F.from_int(2), r)
+            for j in J:
+                c = F.mul(c, V.gram[j])
+            return F.square_class(F.mul(c, minor))
+    raise ArithmeticError("no non-zero principal minor of I - A of size "
+                          "rank(I - A): A is not orthogonal")
 
 
 def coset_label(A: OrthElem) -> CosetLabel:
@@ -335,7 +315,13 @@ class GroupTable:
 
     mats has shape (|O(V)|, N, N) with entries in range(p).  Derived
     per-element arrays (determinants, characteristic polynomials,
-    spinor norms) are computed lazily and cached.
+    spinor norms) are computed lazily and cached, each by whole-stack
+    numpy passes.  Characteristic polynomials and spinor norms share one
+    principal-minor helper: the minors of A give det(I - A T), and those
+    of I - A give the spinor norm by Zassenhaus' formula (On the spinor
+    norm, Arch. Math. 13, 1962), spin(A) = class(2^r prod_{j in J} g_j
+    det (I - A)[J,J]) for the first non-zero minor of the largest size
+    r = rank(I - A), normalised so that spin(r_v) = class(<v,v>).
     """
 
     def __init__(self, V: OrthSpace, mats: np.ndarray):
@@ -370,65 +356,49 @@ class GroupTable:
         if self._charpolys is None:
             p = self.V.q
             N = self.V.N
-            G = self.mats
-            out = np.zeros((len(G), N + 1), dtype=np.int64)
+            out = np.zeros((len(self.mats), N + 1), dtype=np.int64)
             out[:, 0] = 1
             for k in range(1, N + 1):
-                s = np.zeros(len(G), dtype=np.int64)
-                for subset in _k_subsets(N, k):
-                    idx = np.array(subset)
-                    sub = G[:, idx[:, None], idx[None, :]]
-                    s = (s + _batch_det(sub, p)) % p
-                if k % 2 == 1:
-                    s = (-s) % p
-                out[:, k] = s
+                s = sum(m for _, m in _principal_minors(self.mats, p, k)) % p
+                out[:, k] = (-s) % p if k % 2 else s
             self._charpolys = out
         return self._charpolys
 
     def spins(self) -> np.ndarray:
-        """Array of spinor norms as +1 (square) / -1 (nonsquare)."""
+        """Array of spinor norms as +1 (square) / -1 (nonsquare).
+
+        spinor_norm's formula on the whole stack: the principal minors
+        of M = I - A, largest size first, and the first non-zero minor
+        det M[J,J] of each element gives its value 2^|J| prod_{j in J}
+        g_j det M[J,J].  A value is 0 only while it is unset, so the
+        identity, with no non-zero minor, ends as 1 (Square).
+        """
         if self._spins is None:
-            p = self.V.q
-            N = self.V.N
-            G = self.mats
-            F = self.V.field
-            sq = np.zeros(p, dtype=np.int64)
-            for a in range(1, p):
-                sq[a] = 1 if F.square_class(a) == SQUARE else -1
-            two_n = pow(2, N, p)
-
-            def fast_path(stack):
-                iplus = (stack + np.eye(N, dtype=np.int64)[None, :, :]) % p
-                d = _batch_det(iplus, p)
-                return sq[(two_n * d) % p], d == 0
-
-            out, bad = fast_path(G)
-            # det(I+A) = 0: multiply by a reflection of known norm class
-            # and retry, using spin(A r_v) = spin(A) class(<v,v>)
-            stream = _candidate_reflection_vectors(self.V)
-            for _ in range(6):
-                idx = np.nonzero(bad)[0]
-                if len(idx) == 0:
+            V = self.V
+            p, N = V.q, V.N
+            sign = np.array([0] + [V.field.square_class(a).sign
+                                   for a in range(1, p)], dtype=np.int64)
+            M = (np.eye(N, dtype=np.int64) - self.mats) % p
+            vals = np.zeros(len(M), dtype=np.int64)
+            for k in range(N, 0, -1):
+                idx = np.flatnonzero(vals == 0)
+                if not len(idx):
                     break
-                try:
-                    v = next(stream)
-                except StopIteration:
-                    break
-                vv = 1 if F.square_class(self.V.inner(v, v)) == SQUARE else -1
-                R = np.array(reflection(self.V, v).matrix, dtype=np.int64)
-                prod = np.einsum("fij,jk->fik", G[idx], R) % p
-                vals, still = fast_path(prod)
-                out[idx] = vals * vv
-                nxt = np.zeros(len(G), dtype=bool)
-                nxt[idx[still]] = True
-                bad = nxt
-            # anything still degenerate: exact reflection factorization
-            for i in np.nonzero(bad)[0]:
-                A = OrthElem(G[i].tolist(), self.V, check=False)
-                spin, _ = _reflection_factorization_spin(A)
-                out[i] = 1 if spin == SQUARE else -1
-            self._spins = out
+                for J, minors in _principal_minors(M[idx], p, k):
+                    c = pow(2, k, p) * prod(V.gram[j] for j in J) % p
+                    hit = (minors != 0) & (vals[idx] == 0)
+                    vals[idx[hit]] = c * minors[hit] % p
+            vals[vals == 0] = 1
+            self._spins = sign[vals]
         return self._spins
+
+
+def _principal_minors(mats: np.ndarray, p: int, k: int):
+    """(J, det mats[:, J, J] mod p) for every k-subset J, in
+    lexicographic order."""
+    for J in combinations(range(mats.shape[-1]), k):
+        idx = np.array(J)
+        yield J, _batch_det(mats[:, idx[:, None], idx[None, :]], p)
 
 
 def _batch_det(mats: np.ndarray, p: int) -> np.ndarray:

@@ -457,3 +457,45 @@ def test_survey_records_a_non_separable_twist(monkeypatch):
     assert sum(rep.confusion.values()) == 4
     assert all(r.status == "Certified" for i, r in enumerate(rep.records)
                if i != 1)
+
+
+def test_survey_refuses_the_budget_before_building_the_family(monkeypatch):
+    def no_family(*args, **kwargs):
+        raise AssertionError("the survey built the twist family")
+
+    monkeypatch.setattr(lfunc, "_twist_family", no_family)
+    E = _legendre(7)
+    assert invariants_Nd_Dd_B(E, 5)[0] == 9
+    # levels 1..5 are needed and 7^10 > 10^8 >= 7^8: the same refusal
+    # l_function would give at level 5 of the first twist
+    with pytest.raises(BudgetExceededError, match="level 5 fiber count"):
+        survey_delta(E, 5, sample=4, budget=10 ** 8)
+
+
+def test_survey_finds_the_bad_places_once(monkeypatch):
+    calls = []
+    find = lfunc.finite_bad_places
+
+    def counting(E):
+        calls.append(E)
+        return find(E)
+
+    monkeypatch.setattr(lfunc, "finite_bad_places", counting)
+    rep = survey_delta(_legendre(7), 3, sample=2, seed=3)
+    assert rep.sampled == 2 and len(calls) == 1
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_completed_l_function_matches_full_count(q):
+    # completion by the functional equation against counting every level
+    seen = set()
+    for seed, E in enumerate([_legendre(q), _seeded_curve("legendre", q, q)]):
+        for d in (2, 3):
+            FQ, rows = _twist_family(E, d)
+            for i in random.Random(10 * seed + d).sample(range(len(rows)), 4):
+                u = Poly(rows[i].tolist(), FQ)
+                L = l_function(E, u)
+                full = l_function(E, u, full=True)
+                assert (L.coeffs, L.epsilon) == (full.coeffs, full.epsilon)
+                seen.add((L.N_d % 2, L.epsilon))
+    assert len(seen) == 4

@@ -6,6 +6,7 @@ brute-force census of the group."""
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -18,8 +19,54 @@ from orthogal.recpoly import strip, to_trace_form, classify_H, trace_lift
 from orthogal.orthfin import (OrthSpace, OrthElem, CosetLabel, ALL_COSETS,
                               enumerate_O, reflection, spinor_norm,
                               coset_label, identity_elem, class_proportion,
-                              c_i_density, random_element,
-                              _reflection_factorization_spin)
+                              c_i_density, random_element)
+
+
+def _reflection_factorization_spin(A: OrthElem):
+    """Spinor norm and determinant via an explicit reflection
+    factorization: the oracle for the Zassenhaus formula in the package.
+
+    Processes the orthogonal basis vectors in order; each step composes
+    with one or two reflections that move A e_k to e_k while fixing the
+    previously handled basis vectors.  The product of the <v,v> of the
+    used reflection vectors represents the spinor norm; the parity of
+    their number is the determinant.
+    """
+    V = A.space
+    F = V.field
+    N = V.N
+    cur = A
+    spin_rep = 1
+    count = 0
+    for k in range(N):
+        e_k = tuple(1 if i == k else 0 for i in range(N))
+        y = cur.apply(e_k)
+        if y == e_k:
+            continue
+        w = tuple(F.sub(yi, xi) for yi, xi in zip(y, e_k))
+        ww = V.inner(w, w)
+        if ww != 0:
+            r = reflection(V, w)
+            cur = r * cur
+            spin_rep = F.mul(spin_rep, ww)
+            count += 1
+        else:
+            u = tuple(F.add(yi, xi) for yi, xi in zip(y, e_k))
+            uu = V.inner(u, u)
+            r_u = reflection(V, u)
+            r_x = reflection(V, e_k)
+            cur = r_x * (r_u * cur)
+            spin_rep = F.mul(spin_rep, F.mul(uu, V.inner(e_k, e_k)))
+            count += 2
+    if cur != identity_elem(V):
+        raise RuntimeError("reflection factorization failed")
+    return F.square_class(spin_rep) if spin_rep else SQUARE, (-1) ** count
+
+
+@lru_cache(maxsize=None)
+def _table(q, N, disc):
+    """enumerate_O of the canonical space, once per (q, N, disc)."""
+    return enumerate_O(OrthSpace.canonical(get_field(q), N, disc))
 
 
 # ---------------------------------------------------------------------------
@@ -80,10 +127,11 @@ def test_enumerate_budget_and_prime_restriction():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("q,N", [(3, 2), (3, 3), (5, 2), (5, 3)])
+@pytest.mark.parametrize("q,N", [(3, 2), (3, 3), (5, 2), (5, 3), (9, 2),
+                                 (9, 3)])
 def test_reflection_properties(q, N):
     from itertools import product
-    F = get_field(q)
+    F = get_field(3, 2) if q == 9 else get_field(q)
     for disc in (SQUARE, NONSQUARE):
         V = OrthSpace.canonical(F, N, disc)
         for v in product(range(q), repeat=N):
@@ -106,6 +154,29 @@ def test_spinor_norm_fast_path_equals_factorization(q, N, disc):
         spin, det_sign = _reflection_factorization_spin(A)
         assert spinor_norm(A) == spin
         assert A.det() == det_sign
+
+
+@pytest.mark.parametrize("p,e", [(3, 2), (5, 2)])
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_spinor_norm_over_extension_fields_matches_oracle(p, e, N):
+    # steered random elements cover all four cosets; short products of
+    # random reflections cover the low ranks of I - A, which
+    # random_element alone rarely reaches
+    F = get_field(p, e)
+    for disc in (SQUARE, NONSQUARE):
+        V = OrthSpace.canonical(F, N, disc)
+        rng = random.Random(100 * N + p)
+        for seed in range(30):
+            A = random_element(V, 1000 * N + seed, ALL_COSETS[seed % 4])
+            B = I = identity_elem(V)
+            while B == I or rng.random() < 0.5:
+                v = tuple(rng.randrange(F.q) for _ in range(N))
+                if any(v) and V.inner(v, v) != 0:
+                    B = B * reflection(V, v)
+            for X in (A, B):
+                spin, det_sign = _reflection_factorization_spin(X)
+                assert spinor_norm(X) == spin
+                assert X.det() == det_sign
 
 
 def test_spinor_norm_is_a_homomorphism():
@@ -143,6 +214,28 @@ def test_group_table_batches_match_per_element(q, N, disc):
         sign = dets[i] if N % 2 == 0 else -dets[i]
         rev = [F.mul(sign % q, c) for c in want[::-1]]
         assert rev == want
+
+
+SPIN_TABLE_CASES = [(q, N) for q in (3, 5, 7) for N in (1, 2, 3)] + [(3, 4)]
+
+
+@pytest.mark.parametrize("q,N", SPIN_TABLE_CASES)
+@pytest.mark.parametrize("disc", [SQUARE, NONSQUARE])
+def test_group_table_spins_match_oracle(q, N, disc):
+    table = _table(q, N, disc)
+    spins = table.spins()
+    for i, A in enumerate(table.elements()):
+        assert spins[i] == _reflection_factorization_spin(A)[0].sign
+
+
+@pytest.mark.parametrize("disc", [SQUARE, NONSQUARE])
+def test_group_table_spins_match_oracle_on_o45_sample(disc):
+    table = _table(5, 4, disc)
+    spins = table.spins()
+    V = table.V
+    for i in random.Random(45).sample(range(len(table)), 500):
+        A = OrthElem(table.mats[i].tolist(), V, check=False)
+        assert spins[i] == _reflection_factorization_spin(A)[0].sign
 
 
 def test_cosets_have_equal_size():
@@ -184,7 +277,7 @@ def test_class_proportion_validation():
 
 def _brute_density(V, kappa, i):
     """|C_i(kappa)| / |kappa| by direct census of the enumerated group."""
-    table = enumerate_O(V)
+    table = _table(V.q, V.N, V.disc())
     dets, spins = table.dets(), table.spins()
     mask = (dets == kappa.det) & (spins == kappa.spin.sign)
     denom = int(mask.sum())
