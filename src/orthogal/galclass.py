@@ -9,6 +9,16 @@ W_{2n} (or its index-two subgroup W_{2n}^+) once witnesses of classes
 1..5 are found.  The W vs W^+ split is decided by an exact perfect
 square test on disc(f); an i=6 witness forces the full group.
 
+The discriminants also bound the scan.  By Stickelberger a good odd
+prime l has (disc/l) = (-1)^(number of even-degree factors mod l), so
+square classes of disc(f), disc(h) and their product over Q decide
+which classes any prime can show (recpoly._reachable_classes).  The
+scan stops once every wanted class has a witness or, when a wanted
+class is ruled out, once every reachable class has one; either way the
+certificate is that of a scan of the whole budget.  Primes are factored
+in growing blocks (32, 224, then doubling up to 2048 rows), so an early
+certificate factors few primes.
+
 The companion validator compares the joint factorization statistics of
 (h mod l, f mod l) over many primes against the exact conjugacy-class
 statistics of the claimed group, via total-variation distance.
@@ -26,7 +36,8 @@ import numpy as np
 
 from .errors import NotSeparableError
 from .poly import Poly, discriminant
-from .recpoly import strip, to_trace_form, classes_from_degrees
+from .recpoly import (strip, to_trace_form, classes_from_degrees,
+                      _reachable_classes)
 from .signedperm import WGroup, class_statistics
 
 
@@ -405,6 +416,23 @@ def group_constraint(N: int, eps: int,
 # ---------------------------------------------------------------------------
 
 
+def _reductions(int_f, int_h, primes, bad_num: int):
+    """(l, degrees of f mod l, degrees of h mod l) for the primes l not
+    dividing bad_num, in order.  The primes are factored in blocks of
+    32 and 224, then each block twice the one before, at most 2048; a
+    block is factored only when the caller reaches it."""
+    start, size = 0, 32
+    while start < len(primes):
+        block = primes[start:start + size]
+        start += size
+        size = 224 if start == 32 else min(2 * size, 2048)
+        block = block[[bad_num % int(ell) != 0 for ell in block]]
+        if len(block):
+            yield from zip(block.tolist(),
+                           batch_factor_degrees(int_f, block),
+                           batch_factor_degrees(int_h, block))
+
+
 @dataclass
 class GaloisCertificate:
     input_coeffs: list
@@ -431,6 +459,18 @@ def classify(P: Poly, prime_budget: int = 10 ** 4) -> GaloisCertificate:
     is decided by the parity of disc(f) as an exact square (even N,
     eps=1) or by an additional class-6 witness (odd N or eps=-1).
     Exhausting the budget yields status "Inconclusive", never an error.
+
+    By Stickelberger, (disc/l) = (-1)^(number of even-degree factors
+    mod l) at a good odd prime l, so a square disc(f), disc(h) or
+    disc(f) disc(h) rules some classes out at every prime (a square
+    disc(f) rules out class 6).  The scan stops at the first prime
+    where every wanted class has a witness; when a wanted class is
+    ruled out, it stops once every class still reachable has one, so
+    the witnesses equal those of a scan of the whole budget.  A witness
+    of a ruled-out class raises ArithmeticError.  The primes are
+    factored in blocks of 32 and 224, then each block twice the one
+    before, at most 2048 rows, so a certificate found early factors few
+    primes and a large budget keeps the kernel's arrays bounded.
     """
     cs = _as_fracs(P)
     N = len(cs) - 1
@@ -460,38 +500,37 @@ def classify(P: Poly, prime_budget: int = 10 ** 4) -> GaloisCertificate:
 
     K = compute_K(f)
     disc_sq = is_perfect_square(Fraction(disc_f))
+    _check_kernel_prime(f.degree, prime_budget)   # before the sieve allocates
 
     h = to_trace_form(f).h
+    disc_h = discriminant(h)
+    # a square discriminant has Legendre symbol +1 at every good prime,
+    # which rules out the classes of the patterns of the other parity
+    reachable = _reachable_classes(
+        n, disc_sq, is_perfect_square(Fraction(disc_h)),
+        is_perfect_square(Fraction(disc_f) * disc_h))
     int_f, den_f = _clear_denominators(f)
     int_h, den_h = _clear_denominators(h)
     bad_num = abs(f1.numerator * fm1.numerator) * den_f * den_h
     witnesses: dict = {}
     needed = {1, 2, 3, 4, 5}
     even_plus = (N % 2 == 0 and sp.epsilon == 1)
-    want6 = not even_plus
-    _check_kernel_prime(f.degree, prime_budget)   # before the sieve allocates
+    wanted = needed if even_plus else needed | {6}
+    # With a wanted class out of reach the certificate stays Inconclusive
+    # whatever the budget; the scan then only has to record the first
+    # witness of every class that can still appear, as a full scan would.
+    goal = wanted if wanted <= reachable else reachable
     primes = primes_up_to(prime_budget)
-    primes = primes[primes > 2]
-    chunk = 256
-    for start in range(0, len(primes), chunk):
-        block = primes[start:start + chunk]
-        keep = np.array([bad_num % int(ell) != 0 for ell in block])
-        block = block[keep]
-        if len(block) == 0:
+    for ell, ft, ht in _reductions(int_f, int_h, primes[primes > 2], bad_num):
+        if ft is None or ht is None or len(ft) > 8:
             continue
-        ftypes = batch_factor_degrees(int_f, block)
-        htypes = batch_factor_degrees(int_h, block)
-        done = False
-        for ell, ft, ht in zip(block, ftypes, htypes):
-            if ft is None or ht is None or len(ft) > 8:
-                continue
-            for i in classes_from_degrees(ht, ft):
-                if i not in witnesses:
-                    witnesses[i] = int(ell)
-            if needed <= set(witnesses) and (not want6 or 6 in witnesses):
-                done = True
-                break
-        if done:
+        for i in classes_from_degrees(ht, ft):
+            if i not in reachable:
+                raise ArithmeticError(f"class-{i} witness at prime {ell}, "
+                                      "but the discriminants rule it out")
+            if i not in witnesses:
+                witnesses[i] = ell
+        if goal <= witnesses.keys():
             break
 
     cert = GaloisCertificate(
@@ -505,10 +544,6 @@ def classify(P: Poly, prime_budget: int = 10 ** 4) -> GaloisCertificate:
             sorted(needed - set(witnesses)))
         return cert
     if even_plus:
-        # an i=6 witness would force disc(f) to be a nonsquare
-        if disc_sq and 6 in witnesses:
-            raise ArithmeticError("class-6 witness at prime "
-                                  f"{witnesses[6]} but disc(f) is a square")
         cert.claimed_group = WGroup(n, plus=disc_sq)
     elif 6 in witnesses:
         cert.claimed_group = WGroup(n, False)

@@ -19,6 +19,7 @@ arithmetic; a numeric inverse-root check is offered separately.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -181,7 +182,7 @@ def _symbol_from_valuations(vc4: int, vdelta: int) -> str:
                      f"({vc4}, {vdelta}); model not minimal?")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlaceData:
     """Local data of a curve at one place of F_q(t)."""
     place: object              # monic irreducible Poly, or INFINITY
@@ -295,10 +296,20 @@ def _finite_minimal(E: FqTCurve):
     return A, B, places
 
 
+@functools.lru_cache(maxsize=32)
+def _minimal_model(A: Poly, B: Poly):
+    """_finite_minimal of y^2 = x^3 + A x + B, computed once per model
+    (a Poly hashes by its field and coefficients): every twist in a
+    survey starts from the same untwisted model.  The result is shared,
+    so the places come back as a tuple of frozen PlaceData."""
+    Am, Bm, places = _finite_minimal(FqTCurve(A.field, A, B))
+    return Am, Bm, tuple(places)
+
+
 def finite_bad_places(E: FqTCurve):
     """PlaceData for every finite place of bad reduction (of the
     globally minimal finite model)."""
-    return _finite_minimal(E)[2]
+    return list(_minimal_model(E.A, E.B)[2])
 
 
 def bad_modulus(E: FqTCurve) -> Poly:
@@ -710,7 +721,7 @@ def l_function(E: FqTCurve, u: Poly | None = None, n: int = 1,
         Eu = quadratic_twist(Ebase, u)
     else:
         Eu = Ebase
-    Am0, Bm0, places0 = _finite_minimal(Ebase)
+    Am0, Bm0, places0 = _minimal_model(A, B)
     fast = u is not None and all(u.gcd(pd.place).degree == 0
                                  for pd in places0)
     if fast:

@@ -22,6 +22,8 @@ implements:
 
 from __future__ import annotations
 
+import functools
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -215,6 +217,57 @@ def classes_from_degrees(hdeg, fdeg) -> set:
     if f_quads == 1 and f_rest_odd:
         out.add(6)
     return out
+
+
+def _partitions(n: int, largest: int, parts: int):
+    """Partitions of n into at most `parts` parts of size <= largest,
+    each as a descending tuple."""
+    if n == 0:
+        yield ()
+        return
+    # the largest part is at least n / parts
+    for k in range(min(n, largest), -(-n // parts) - 1, -1):
+        for rest in _partitions(n - k, k, parts - 1):
+            yield (k,) + rest
+
+
+def _lift_patterns(sizes, spare: int):
+    """Factor degrees of the lift of an h with sizes[k] factors of degree
+    k, one list per way that at most `spare` of them split."""
+    if not sizes:
+        yield []
+        return
+    (k, m), rest = sizes[0], sizes[1:]
+    for s in range(min(m, spare) + 1):
+        for tail in _lift_patterns(rest, spare - s):
+            yield [2 * k] * (m - s) + [k] * (2 * s) + tail
+
+
+@functools.lru_cache(maxsize=256)
+def _reachable_classes(n: int, f_square: bool, h_square: bool,
+                       fh_square: bool) -> frozenset:
+    """The classes a good odd prime l can show for a degree-n h whose
+    disc(f), disc(h) and disc(f) disc(h) are squares mod l where
+    flagged (an unflagged one may be either).
+
+    By Stickelberger a squarefree reduction has (disc/l) =
+    (-1)^(number of even-degree factors).  Every factor pattern of h
+    mod l is tried; an h-factor of degree k lifts to [2k] or [k, k], and
+    patterns with more than eight f-factors are skipped, as classify
+    skips those primes.  The classes of the pairs whose parities fit
+    the flags come from classes_from_degrees.
+    """
+    out: set = set()
+    for hdeg in _partitions(n, n, 8):
+        h_odd = sum(k % 2 == 0 for k in hdeg) % 2
+        for fdeg in _lift_patterns(sorted(Counter(hdeg).items()),
+                                   8 - len(hdeg)):
+            f_odd = sum(k % 2 == 0 for k in fdeg) % 2
+            if ((f_square and f_odd) or (h_square and h_odd)
+                    or (fh_square and f_odd != h_odd)):
+                continue
+            out |= classes_from_degrees(hdeg, fdeg)
+    return frozenset(out)
 
 
 def classify_H(h: Poly) -> set:

@@ -2,6 +2,7 @@
 single-prime pipeline, K-field arithmetic, certificates on pinned
 inputs, and the statistics validator's pass/fail behavior."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from orthogal import galclass
+from orthogal import galclass, lfunc
 from orthogal.errors import (BudgetExceededError, NotReciprocalError,
                              NotSeparableError)
 from orthogal.ffield import get_field, _is_prime
@@ -329,6 +330,129 @@ def test_classify_normalizes_scaling():
     cert = classify(scaled)
     assert cert.status == "Certified"
     assert cert.claimed_group == WGroup(2, False)
+
+
+def test_classify_refuses_a_witness_of_a_ruled_out_class(monkeypatch):
+    # h = T^2 - T - 1: disc(f) disc(h) = 125 * 5 is a square, so no
+    # good prime has an odd number of even-degree factors (class 5)
+    f = trace_lift(Poly([-1, -1, 1]))
+    assert classify(f).reason == "missing witnesses for classes [5]"
+    monkeypatch.setattr(galclass, "classes_from_degrees", lambda ht, ft: {5})
+    with pytest.raises(ArithmeticError, match="class-5 witness"):
+        classify(f)
+
+
+def test_classify_waits_for_every_reachable_class(monkeypatch):
+    # once a wanted class is out of reach the scan still records the
+    # first witness of every reachable class, as a full scan does
+    seen = iter([{4, 5}, set(), {6}])
+    monkeypatch.setattr(galclass, "_reachable_classes",
+                        lambda *args: frozenset({4, 5, 6}))
+    monkeypatch.setattr(galclass, "classes_from_degrees",
+                        lambda ht, ft: next(seen))
+    cert = classify(trace_lift(Poly([-3, -1, 1])))
+    assert cert.reason == "missing witnesses for classes [1, 2, 3]"
+    assert cert.witnesses == {4: 5, 5: 5, 6: 11}
+
+
+def _square_disc_cores(rng, count):
+    """Lifts of random h with (-1)^n h(2) h(-2), the square class of
+    disc(f), a square."""
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, 4)
+        h = Poly([rng.randint(-9, 9) for _ in range(n)] + [1])
+        val = (-1) ** n * h(2) * h(-2)
+        if val > 0 and is_perfect_square(Fraction(val)) \
+                and discriminant(h) != 0:
+            out.append(trace_lift(h))
+    return out
+
+
+@functools.lru_cache(maxsize=1)
+def _classify_corpus():
+    """Seeded classify inputs of every shape the scan treats apart."""
+    rng = random.Random(9)
+
+    def rand_h(n):
+        return Poly([rng.randint(-5, 5) for _ in range(n)] + [1])
+
+    forced = [Poly([1, 1]), Poly([1, -1]), Poly([1, 0, -1])]
+    corpus = [Poly([1, 0, 3, 0, 1]), trace_lift(Poly([-1, -1, 1]))]
+    for n in range(1, 7):
+        for _ in range(2):
+            f = trace_lift(rand_h(n))
+            corpus += [f * rng.choice(forced)] if n == 1 else [f]
+    corpus += [trace_lift(rand_h(3)) * g for g in forced]
+    corpus += [trace_lift(rand_h(2) * rand_h(2)) for _ in range(3)]
+    corpus += [trace_lift(Poly([rng.randint(-6, 6), 1]) * rand_h(n))
+               for n in (1, 2, 3)]
+    corpus += _square_disc_cores(rng, 4)
+    for q in (5, 7):
+        E = lfunc.FqTCurve.from_a_invariants(get_field(q), [0], [-1, -1],
+                                             [0], [0, 1], [0])
+        for d in (2, 3):
+            FQ, rows = lfunc._twist_family(E, d)
+            for i in random.Random(10 * q + d).sample(range(len(rows)), 3):
+                L = lfunc.l_function(E, Poly(rows[i].tolist(), FQ))
+                corpus.append(Poly(L.p_u()))
+    return corpus
+
+
+def _certificates(corpus, budget):
+    out = []
+    for P in corpus:
+        try:
+            c = classify(P, prime_budget=budget)
+        except (NotSeparableError, ValueError) as exc:
+            out.append(type(exc).__name__)
+            continue
+        out.append((c.status, c.reason, sorted(c.witnesses.items()),
+                    c.claimed_group, c.disc_is_square))
+    return out
+
+
+@pytest.mark.parametrize("budget", [4, 100, 257, 3000, 10 ** 4])
+def test_classify_stop_rule_matches_a_full_scan(monkeypatch, budget):
+    corpus = _classify_corpus()
+    got = _certificates(corpus, budget)
+    # with every class reachable the scan stops only on the wanted
+    # classes, as a scan without the discriminant rule does
+    monkeypatch.setattr(galclass, "_reachable_classes",
+                        lambda *args: frozenset(range(1, 7)))
+    want = _certificates(corpus, budget)
+    assert got == want
+    if budget == 10 ** 4:
+        statuses = {c[0] for c in got if isinstance(c, tuple)}
+        assert statuses == {"Certified", "Inconclusive", "Rejected"}
+
+
+def _record_rows(monkeypatch):
+    rows = []
+    inner = galclass.batch_factor_degrees
+
+    def record(int_coeffs, primes):
+        rows.append(len(primes))
+        return inner(int_coeffs, primes)
+
+    monkeypatch.setattr(galclass, "batch_factor_degrees", record)
+    return rows
+
+
+def test_classify_factors_primes_in_growing_blocks(monkeypatch):
+    rows = _record_rows(monkeypatch)
+    assert classify(trace_lift(Poly([-3, -1, 1]))).status == "Certified"
+    assert 0 < rows[0] <= 32
+    # h = (T - 3)(T^2 - 3) never shows class 1, and disc(h) = 432 is no
+    # square, so the scan runs through the whole budget
+    f = trace_lift(Poly([-3, 1]) * Poly([-3, 0, 1]))
+    odd = len(primes_up_to(10 ** 4)) - 1
+    rows.clear()
+    assert classify(f).reason == "missing witnesses for classes [1]"
+    assert sum(rows) >= 2 * (odd - 5) and len(rows) <= 2 * 4
+    rows.clear()
+    classify(f, prime_budget=10 ** 5)
+    assert sum(rows) > 2 * 9000 and max(rows) <= 2048
 
 
 # ---------------------------------------------------------------------------

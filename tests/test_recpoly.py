@@ -14,7 +14,8 @@ from orthogal.recpoly import (strip, reciprocal_sign, to_trace_form,
                               trace_lift, disc_identity, in_P_n, classify_H,
                               classes_from_degrees, in_F_class,
                               count_irreducible_classes,
-                              count_irreducible_classes_direct)
+                              count_irreducible_classes_direct,
+                              _reachable_classes)
 
 
 def _rand_h(rng, field, n, int_range=8):
@@ -180,6 +181,43 @@ def test_classify_H_matches_direct_definition():
                 f = trace_lift(h)
                 assert got == classes_from_degrees(factor_degrees(h),
                                                    factor_degrees(f))
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_reachable_classes_contain_every_reduction(ell):
+    # Stickelberger: at a good prime every h in P_n shows only classes
+    # the helper allows for its actual Legendre symbols
+    F = get_field(ell)
+    for n in (1, 2, 3, 4):
+        for code in range(ell ** n):
+            cs, c = [], code
+            for _ in range(n):
+                cs.append(c % ell)
+                c //= ell
+            h = Poly(cs + [1], F)
+            if not in_P_n(h):
+                continue
+            chi_h = F.square_class(discriminant(h)).sign
+            chi_f = F.square_class(discriminant(trace_lift(h))).sign
+            allowed = _reachable_classes(n, chi_f == 1, chi_h == 1,
+                                         chi_f * chi_h == 1)
+            assert classify_H(h) <= allowed, (ell, h)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_reachable_classes_follow_the_parities(n):
+    every = frozenset(range(1, 7))
+    assert _reachable_classes(n, False, False, False) == every
+    # a square disc(f) leaves an even number of even f-factors
+    assert 6 not in _reachable_classes(n, True, False, False)
+    # a square disc(f) disc(h): class 5 needs an odd number of even
+    # factors across h and f, except for n = 1, where every h shows it
+    assert (5 in _reachable_classes(n, False, False, True)) == (n == 1)
+    assert 6 not in _reachable_classes(n, False, False, True)
+    # a square disc(h): no single quadratic h-factor, and h irreducible
+    # only for odd n
+    assert 3 not in _reachable_classes(n, False, True, False) or n == 1
+    assert (1 in _reachable_classes(n, False, True, False)) == (n % 2 == 1)
 
 
 def test_in_F_class_consistency():

@@ -1,5 +1,9 @@
-"""Source-level rules: no invariant of the package may be an ``assert``,
-which ``python -O`` strips."""
+"""Source-level rules for the package:
+
+* no invariant may be an ``assert``, which ``python -O`` strips;
+* only ``cli.main`` writes to standard output.  Callers such as the
+  benchmark run ``cli.dispatch`` in-process and read the last line of
+  stdout as their result, so a stray line would corrupt it."""
 
 import ast
 from pathlib import Path
@@ -7,10 +11,41 @@ from pathlib import Path
 SOURCE_DIR = Path(__file__).resolve().parent.parent / "src" / "orthogal"
 
 
-def test_no_assert_statements():
+def _trees():
     sources = sorted(SOURCE_DIR.glob("*.py"))
     assert any(p.name == "galclass.py" for p in sources), SOURCE_DIR
-    found = [f"{p.name}:{node.lineno}" for p in sources
-             for node in ast.walk(ast.parse(p.read_text(), filename=str(p)))
-             if isinstance(node, ast.Assert)]
+    return [(p, ast.parse(p.read_text(), filename=str(p))) for p in sources]
+
+
+def test_no_assert_statements():
+    found = [f"{p.name}:{node.lineno}" for p, tree in _trees()
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the package: {found}"
+
+
+def _writes_stdout(node) -> bool:
+    """A print call, a sys.stdout reference or an import of stdout."""
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Name) and node.func.id == "print"
+    if isinstance(node, ast.Attribute):
+        return (node.attr in ("stdout", "__stdout__")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "sys")
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "sys" and any(
+            a.name in ("stdout", "__stdout__") for a in node.names)
+    return False
+
+
+def test_only_cli_main_writes_stdout():
+    found = []
+    for p, tree in _trees():
+        allowed = set()
+        if p.name == "cli.py":
+            main = [node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "main"]
+            assert len(main) == 1, "cli.main not found"
+            allowed = {id(node) for node in ast.walk(main[0])}
+        found += [f"{p.name}:{node.lineno}" for node in ast.walk(tree)
+                  if _writes_stdout(node) and id(node) not in allowed]
+    assert not found, f"writes to stdout outside cli.main: {found}"
