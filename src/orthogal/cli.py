@@ -409,10 +409,16 @@ _HANDLERS = {
 }
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it
+    unchanged."""
+    return build_parser()
+
+
 def dispatch(argv) -> tuple[int, dict | None]:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return (64 if exc.code not in (0, None) else 0), None
     start = time.monotonic()

@@ -12,12 +12,16 @@ square test on disc(f); an i=6 witness forces the full group.
 The discriminants also bound the scan.  By Stickelberger a good odd
 prime l has (disc/l) = (-1)^(number of even-degree factors mod l), so
 square classes of disc(f), disc(h) and their product over Q decide
-which classes any prime can show (recpoly._reachable_classes).  The
-scan stops once every wanted class has a witness or, when a wanted
-class is ruled out, once every reachable class has one; either way the
-certificate is that of a scan of the whole budget.  Primes are factored
-in growing blocks (32, 224, then doubling up to 2048 rows), so an early
-certificate factors few primes.
+which classes any prime can show (recpoly._reachable_classes).  So does
+the factorization of the trace form h over Q: a reducible h never shows
+class 1, and each rational factor h_i splits mod l on its own.  h is
+factored (poly._factor_over_z) only when the first block of primes
+shows no class 1 while the discriminants allow it.  The scan stops once
+every wanted class has a witness or, when a wanted class is ruled out,
+once every reachable class has one; either way the certificate is that
+of a scan of the whole budget.  Primes are factored in growing blocks
+(32, 224, then doubling up to 2048 rows), so an early certificate
+factors few primes.
 
 The companion validator compares the joint factorization statistics of
 (h mod l, f mod l) over many primes against the exact conjugacy-class
@@ -35,8 +39,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NotSeparableError
-from .poly import Poly, discriminant
-from .recpoly import (strip, to_trace_form, classes_from_degrees,
+from .poly import Poly, discriminant, _factor_over_z
+from .recpoly import (strip, to_trace_form, trace_lift, classes_from_degrees,
                       _reachable_classes)
 from .signedperm import WGroup, class_statistics
 
@@ -233,11 +237,17 @@ def _batch_gcd_degrees(A, B, m):
 
 
 @functools.lru_cache(maxsize=64)
+def _int_discriminant(int_coeffs: tuple) -> int:
+    """disc(f) of an integer polynomial, computed once per polynomial.
+    classify takes its zero test and square classes from it: for f over
+    Q with c f integral, disc(c f) = c^(2d - 2) disc(f)."""
+    return Fraction(discriminant(Poly(list(int_coeffs)))).numerator
+
+
 def _degenerate_numerator(int_coeffs: tuple) -> int:
-    """lc(f) times the numerator of disc(f): a prime l divides it exactly
-    when the reduction mod l loses its degree or is not squarefree."""
-    disc = Fraction(discriminant(Poly(list(int_coeffs))))
-    return int_coeffs[-1] * disc.numerator
+    """lc(f) times disc(f): a prime l divides it exactly when the
+    reduction mod l loses its degree or is not squarefree."""
+    return int_coeffs[-1] * _int_discriminant(int_coeffs)
 
 
 def _reduce_rows(int_coeffs, primes):
@@ -416,21 +426,29 @@ def group_constraint(N: int, eps: int,
 # ---------------------------------------------------------------------------
 
 
-def _reductions(int_f, int_h, primes, bad_num: int):
-    """(l, degrees of f mod l, degrees of h mod l) for the primes l not
-    dividing bad_num, in order.  The primes are factored in blocks of
-    32 and 224, then each block twice the one before, at most 2048; a
-    block is factored only when the caller reaches it."""
+def _prime_blocks(primes, bad_num: int):
+    """The primes not dividing bad_num, in blocks cut from the first 32,
+    the next 224, then each block twice the one before, at most 2048."""
     start, size = 0, 32
     while start < len(primes):
         block = primes[start:start + size]
         start += size
         size = 224 if start == 32 else min(2 * size, 2048)
-        block = block[[bad_num % int(ell) != 0 for ell in block]]
-        if len(block):
-            yield from zip(block.tolist(),
-                           batch_factor_degrees(int_f, block),
-                           batch_factor_degrees(int_h, block))
+        yield block[[bad_num % int(ell) != 0 for ell in block]]
+
+
+def _rational_parts(int_f, int_h, rows) -> tuple:
+    """Sorted (deg h_i, whether T^k h_i(T + 1/T) splits over Q) for the
+    factors h_i of h over Z, from the reductions (l, degrees of f mod l,
+    degrees of h mod l) already factored.  The lift of h_i divides f,
+    so the patterns of f bound the degrees of its factors."""
+    f_rows = [(ell, ft) for ell, ft, _ in rows if ft is not None]
+    h_rows = [(ell, ht) for ell, _, ht in rows if ht is not None]
+    parts = []
+    for g in _factor_over_z(int_h, h_rows):
+        lift = trace_lift(Poly(g)).coeffs
+        parts.append((len(g) - 1, len(_factor_over_z(lift, f_rows)) > 1))
+    return tuple(sorted(parts))
 
 
 @dataclass
@@ -463,7 +481,10 @@ def classify(P: Poly, prime_budget: int = 10 ** 4) -> GaloisCertificate:
     By Stickelberger, (disc/l) = (-1)^(number of even-degree factors
     mod l) at a good odd prime l, so a square disc(f), disc(h) or
     disc(f) disc(h) rules some classes out at every prime (a square
-    disc(f) rules out class 6).  The scan stops at the first prime
+    disc(f) rules out class 6).  When the first block shows no class 1
+    and the discriminants allow it, h is factored over Q: with h
+    reducible no prime shows class 1, and the patterns mod l refine the
+    degrees of the rational factors.  The scan stops at the first prime
     where every wanted class has a witness; when a wanted class is
     ruled out, it stops once every class still reachable has one, so
     the witnesses equal those of a scan of the whole budget.  A witness
@@ -494,7 +515,8 @@ def classify(P: Poly, prime_budget: int = 10 ** 4) -> GaloisCertificate:
     fm1 = f(-1)
     if f1 == 0 or fm1 == 0:
         return reject("boundary root: f(1) f(-1) = 0")
-    disc_f = discriminant(f)
+    int_f, den_f = _clear_denominators(f)
+    disc_f = _int_discriminant(tuple(int_f))
     if disc_f == 0:
         raise NotSeparableError("stripped core has a repeated factor")
 
@@ -503,35 +525,50 @@ def classify(P: Poly, prime_budget: int = 10 ** 4) -> GaloisCertificate:
     _check_kernel_prime(f.degree, prime_budget)   # before the sieve allocates
 
     h = to_trace_form(f).h
-    disc_h = discriminant(h)
+    int_h, den_h = _clear_denominators(h)
+    disc_h = _int_discriminant(tuple(int_h))
     # a square discriminant has Legendre symbol +1 at every good prime,
     # which rules out the classes of the patterns of the other parity
-    reachable = _reachable_classes(
-        n, disc_sq, is_perfect_square(Fraction(disc_h)),
-        is_perfect_square(Fraction(disc_f) * disc_h))
-    int_f, den_f = _clear_denominators(f)
-    int_h, den_h = _clear_denominators(h)
+    flags = (disc_sq, is_perfect_square(Fraction(disc_h)),
+             is_perfect_square(Fraction(disc_f * disc_h)))
+    reachable = _reachable_classes(n, *flags)
     bad_num = abs(f1.numerator * fm1.numerator) * den_f * den_h
     witnesses: dict = {}
     needed = {1, 2, 3, 4, 5}
     even_plus = (N % 2 == 0 and sp.epsilon == 1)
     wanted = needed if even_plus else needed | {6}
-    # With a wanted class out of reach the certificate stays Inconclusive
-    # whatever the budget; the scan then only has to record the first
-    # witness of every class that can still appear, as a full scan would.
-    goal = wanted if wanted <= reachable else reachable
     primes = primes_up_to(prime_budget)
-    for ell, ft, ht in _reductions(int_f, int_h, primes[primes > 2], bad_num):
-        if ft is None or ht is None or len(ft) > 8:
-            continue
-        for i in classes_from_degrees(ht, ft):
-            if i not in reachable:
-                raise ArithmeticError(f"class-{i} witness at prime {ell}, "
-                                      "but the discriminants rule it out")
-            if i not in witnesses:
-                witnesses[i] = ell
+    for index, block in enumerate(_prime_blocks(primes[primes > 2], bad_num)):
+        if index == 1 and 1 in reachable and 1 not in witnesses:
+            # No class 1 in the first block: factor h over Q.  With h
+            # reducible no prime shows class 1, and each h_i mod l
+            # refines deg h_i.
+            reachable = _reachable_classes(
+                n, *flags, _rational_parts(int_f, int_h, rows))
+            if not witnesses.keys() <= reachable:
+                raise ArithmeticError("a witness of a class that the "
+                                      "factorization of h rules out")
+        # With a wanted class out of reach the certificate stays
+        # Inconclusive whatever the budget; the scan then only has to
+        # record the first witness of every class that can still appear,
+        # as a full scan would.
+        goal = wanted if wanted <= reachable else reachable
         if goal <= witnesses.keys():
             break
+        rows = list(zip(block.tolist(), batch_factor_degrees(int_f, block),
+                        batch_factor_degrees(int_h, block)))
+        for ell, ft, ht in rows:
+            if ft is None or ht is None or len(ft) > 8:
+                continue
+            for i in classes_from_degrees(ht, ft):
+                if i not in reachable:
+                    raise ArithmeticError(
+                        f"class-{i} witness at prime {ell}, but the "
+                        "discriminants or the factors of h rule it out")
+                if i not in witnesses:
+                    witnesses[i] = ell
+            if goal <= witnesses.keys():
+                break
 
     cert = GaloisCertificate(
         input_coeffs=list(P.coeffs), N=N, epsilon=sp.epsilon,

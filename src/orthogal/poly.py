@@ -9,16 +9,20 @@ ffield).  All algorithms are exact; there is no floating point.
 Factorization over F_q is the classical three-stage pipeline:
 squarefree decomposition, distinct-degree splitting, then a randomized
 equal-degree split (odd q) driven by an explicit seed.  The factor list
-is sorted canonically so output never depends on the seed.
+is sorted canonically so output never depends on the seed.  A
+squarefree integer polynomial is factored over Z by Zassenhaus' method:
+Hensel lifting from one good prime, then recombination.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd as int_gcd, isqrt, prod
+from itertools import combinations
+from math import comb, gcd as int_gcd, isqrt, prod
 
-from .ffield import Fq, get_field, _is_prime, _poly_rem_mod_p, _prime_factors
+from .ffield import (Fq, get_field, _is_prime, _poly_mul_mod_p,
+                     _poly_rem_mod_p, _prime_factors)
 
 
 class Poly:
@@ -617,6 +621,147 @@ def factor(f: Poly, seed: int = 0):
                     factors.append((piece, m))
     factors.sort(key=lambda t: (t[0].degree, t[0].coeffs))
     return unit, factors
+
+
+# ---------------------------------------------------------------------------
+# Factorization over Z (Zassenhaus: Hensel lifting, then recombination)
+# ---------------------------------------------------------------------------
+#
+# Cohen, A Course in Computational Algebraic Number Theory, 3.5.  The
+# list kernels of ffield never invert, so they also work modulo the
+# prime powers l^j of the lifting, where every divisor is monic.
+
+
+def _xgcd(a: Poly, b: Poly):
+    """(s, t) with s a + t b = 1 for coprime a, b over a finite field;
+    deg s < deg b and deg t < deg a."""
+    F = a.field
+    r0, r1 = a, b
+    s0, s1 = Poly([1], F), Poly([], F)
+    t0, t1 = Poly([], F), Poly([1], F)
+    while not r1.is_zero():
+        q, r = r0.divmod(r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if r0.degree != 0:
+        raise ArithmeticError("Hensel factors are not coprime")
+    inv = F.inv(r0.coeffs[0])
+    return s0.scale(inv), t0.scale(inv)
+
+
+def _add_mod(a, b, m):
+    if len(a) < len(b):
+        a, b = b, a
+    return [(c + (b[i] if i < len(b) else 0)) % m for i, c in enumerate(a)]
+
+
+def _sub_mod(a, b, m):
+    return _add_mod(a, [-c for c in b], m)
+
+
+def _hensel_lift(f, factors, steps: int):
+    """Monic factors of the monic integer list f modulo M = l^(2^steps),
+    lifted from its factorization into the monic, pairwise coprime
+    factors (Polys over F_l).  Splits the list in two halves, lifts that
+    split quadratically (von zur Gathen and Gerhard, Algorithm 15.10, for
+    monic g and h), then recurses into each half."""
+    if len(factors) == 1:
+        return [f]
+    F = factors[0].field
+    half = len(factors) // 2
+    g, h = prod(factors[:half], start=Poly([1], F)), \
+        prod(factors[half:], start=Poly([1], F))
+    s, t = _xgcd(g, h)
+    g, h, s, t = (list(p.coeffs) for p in (g, h, s, t))
+    m = F.p
+    for _ in range(steps):
+        m *= m
+        # f = g h + e: g += t e mod g, h += s e mod h; then the same
+        # correction for the Bezout pair, with b = s g + t h - 1
+        e = _sub_mod(f, _poly_mul_mod_p(g, h, m), m)
+        g = _add_mod(g, _poly_rem_mod_p(_poly_mul_mod_p(t, e, m), g, m), m)
+        h = _add_mod(h, _poly_rem_mod_p(_poly_mul_mod_p(s, e, m), h, m), m)
+        b = _sub_mod(_add_mod(_poly_mul_mod_p(s, g, m),
+                              _poly_mul_mod_p(t, h, m), m), [1], m)
+        s = _sub_mod(s, _poly_rem_mod_p(_poly_mul_mod_p(s, b, m), h, m), m)
+        t = _sub_mod(t, _poly_rem_mod_p(_poly_mul_mod_p(t, b, m), g, m), m)
+    return (_hensel_lift(g, factors[:half], steps)
+            + _hensel_lift(h, factors[half:], steps))
+
+
+def _primitive(cs):
+    """Primitive part with a positive leading coefficient."""
+    c = int_gcd(*cs) * (1 if cs[-1] > 0 else -1)
+    return [x // c for x in cs]
+
+
+def _subset_sums(parts):
+    sums = {0}
+    for k in parts:
+        sums |= {s + k for s in sums}
+    return sums
+
+
+def _factor_over_z(coeffs, reductions):
+    """Factors over Z of a squarefree integer polynomial.
+
+    coeffs: ascending integers, degree >= 1.  reductions: pairs (l,
+    factor degrees mod l) at odd primes l where the polynomial keeps its
+    degree and stays squarefree.  The prime with the fewest factors is
+    factored with `factor`, its factors are Hensel-lifted to l^k above
+    twice lc times the Mignotte bound, and subsets of them are
+    recombined by trial division.  A subset is tried only when its
+    degree is a subset sum of every pattern in reductions.
+
+    Returns primitive factors with positive leading coefficients whose
+    product is the primitive part of coeffs, up to sign.  Every factor
+    split off divides exactly over Z; the last one is what is left, and
+    can only be reducible if the reductions were not what they claim.
+    """
+    f = _primitive(list(coeffs))
+    d = len(f) - 1
+    sums = set(range(d + 1))
+    for _, pattern in reductions:
+        sums &= _subset_sums(pattern)
+    if not reductions or not any(0 < k < d for k in sums):
+        return [f]
+    ell = min(reductions, key=lambda r: len(r[1]))[0]
+    F = get_field(ell)
+    fl = Poly([c % ell for c in f], F)
+    _, mod_factors = factor(fl)
+    if fl.degree != d or any(m > 1 for _, m in mod_factors):
+        return [f]          # not a good prime after all: leave f whole
+    # Mignotte: a factor g of f has |g_j| <= C(d-1, j) |f|_2 +
+    # C(d-1, j-1) lc(f), at most C(d-1, (d-1)//2) (|f|_2 + lc(f)) for
+    # every j; a lifted subset reproduces lc(f) g / lc(g)
+    lc = f[-1]
+    mignotte = comb(d - 1, (d - 1) // 2) * (isqrt(sum(c * c for c in f))
+                                            + 1 + lc)
+    steps, M = 0, ell
+    while M <= 2 * lc * mignotte:
+        steps, M = steps + 1, M * M
+    monic = [c * pow(lc, -1, M) % M for c in f]
+    lifted = _hensel_lift(monic, [g for g, _ in mod_factors], steps)
+    found, rest, size = [], list(range(len(lifted))), 1
+    while 2 * size <= len(rest):
+        for subset in combinations(rest, size):
+            if sum(len(lifted[i]) - 1 for i in subset) not in sums:
+                continue
+            cand = [f[-1]]
+            for i in subset:
+                cand = _poly_mul_mod_p(cand, lifted[i], M)
+            g = _primitive([c - M if 2 * c > M else c for c in cand])
+            # g is primitive, so g | f over Q leaves an integral quotient
+            quotient, remainder = Poly(f).divmod(Poly(g))
+            if remainder.is_zero():
+                found.append(g)
+                f = list(quotient.coeffs)
+                rest = [i for i in rest if i not in subset]
+                break
+        else:
+            size += 1
+    return found + [f]
 
 
 def is_irreducible(f: Poly) -> bool:

@@ -23,6 +23,7 @@ implements:
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -186,22 +187,23 @@ def in_P_n(h: Poly) -> bool:
     return h.is_squarefree()
 
 
-def classes_from_degrees(hdeg, fdeg) -> set:
+def classes_from_degrees(hdeg, fdeg) -> frozenset:
     """Class indices from the factor degree multisets of h and its lift.
 
     Assumes the base-set conditions already hold (h monic separable
-    with h(2) h(-2) != 0).
+    with h(2) h(-2) != 0).  Memoised on the sorted patterns.
     """
-    hdeg = sorted(hdeg)
-    fdeg = sorted(fdeg)
+    return _pattern_classes(tuple(sorted(hdeg)), tuple(sorted(fdeg)))
+
+
+@functools.lru_cache(maxsize=4096)
+def _pattern_classes(hdeg: tuple, fdeg: tuple) -> frozenset:
     n = sum(hdeg)
     if n == 1:
-        out = {1, 2, 3, 4, 5}
-        if fdeg == [2]:
-            out.add(6)
-        return out
+        return frozenset({1, 2, 3, 4, 5, 6} if fdeg == (2,)
+                         else {1, 2, 3, 4, 5})
     out = set()
-    if hdeg == [n]:
+    if hdeg == (n,):
         out.add(1)
     if any(_is_prime(d) and 2 * d > n for d in hdeg):
         out.add(2)
@@ -216,7 +218,7 @@ def classes_from_degrees(hdeg, fdeg) -> set:
         out.add(5)
     if f_quads == 1 and f_rest_odd:
         out.add(6)
-    return out
+    return frozenset(out)
 
 
 def _partitions(n: int, largest: int, parts: int):
@@ -245,23 +247,43 @@ def _lift_patterns(sizes, spare: int):
 
 @functools.lru_cache(maxsize=256)
 def _reachable_classes(n: int, f_square: bool, h_square: bool,
-                       fh_square: bool) -> frozenset:
+                       fh_square: bool, parts: tuple = ()) -> frozenset:
     """The classes a good odd prime l can show for a degree-n h whose
     disc(f), disc(h) and disc(f) disc(h) are squares mod l where
     flagged (an unflagged one may be either).
 
+    parts: the sorted pairs (deg h_i, whether T^k h_i(T + 1/T) splits
+    over Q) for the factors h_i of h over Q; empty means ((n, False),),
+    an h taken as irreducible.  Each h_i mod l is a partition of
+    deg h_i, and a part of degree k lifts to [2k] or [k, k], always to
+    [k, k] when the lift of h_i splits over Q: its two factors over Q
+    take one root of each pair a, 1/a, and stay coprime mod l.
+
     By Stickelberger a squarefree reduction has (disc/l) =
-    (-1)^(number of even-degree factors).  Every factor pattern of h
-    mod l is tried; an h-factor of degree k lifts to [2k] or [k, k], and
-    patterns with more than eight f-factors are skipped, as classify
-    skips those primes.  The classes of the pairs whose parities fit
-    the flags come from classes_from_degrees.
+    (-1)^(number of even-degree factors).  Patterns with more than
+    eight f-factors are skipped, as classify skips those primes.  The
+    classes of the pairs whose parities fit the flags come from
+    classes_from_degrees.
     """
+    parts = parts or ((n, False),)
+    if sum(d for d, _ in parts) != n:
+        raise ValueError(f"factor degrees {parts} do not add up to {n}")
     out: set = set()
-    for hdeg in _partitions(n, n, 8):
+    seen = set()
+    for patterns in itertools.product(*(_partitions(d, d, 8)
+                                        for d, _ in parts)):
+        free = tuple(sorted(k for (_, lifts), ks in zip(parts, patterns)
+                            if not lifts for k in ks))
+        forced = tuple(sorted(k for (_, lifts), ks in zip(parts, patterns)
+                              if lifts for k in ks))
+        spare = 8 - len(free) - 2 * len(forced)
+        if spare < 0 or (free, forced) in seen:
+            continue
+        seen.add((free, forced))
+        hdeg = free + forced
         h_odd = sum(k % 2 == 0 for k in hdeg) % 2
-        for fdeg in _lift_patterns(sorted(Counter(hdeg).items()),
-                                   8 - len(hdeg)):
+        for fdeg in _lift_patterns(sorted(Counter(free).items()), spare):
+            fdeg = fdeg + [k for k in forced for _ in (0, 1)]
             f_odd = sum(k % 2 == 0 for k in fdeg) % 2
             if ((f_square and f_odd) or (h_square and h_odd)
                     or (fh_square and f_odd != h_odd)):
@@ -282,7 +304,7 @@ def classify_H(h: Poly) -> set:
     if not in_P_n(h):
         return set()
     f = trace_lift(h)
-    return classes_from_degrees(factor_degrees(h), factor_degrees(f))
+    return set(classes_from_degrees(factor_degrees(h), factor_degrees(f)))
 
 
 def in_F_class(f: Poly, i: int, alpha: SquareClass, beta: SquareClass) -> bool:

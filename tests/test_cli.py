@@ -150,6 +150,28 @@ def test_usage_exit_code():
     assert code2 == 64 and report2 is None
 
 
+def test_usage_error_leaves_the_parser_unchanged(monkeypatch):
+    # the parser is built once per process; a failed parse between two
+    # valid calls must not change what the second call reports
+    import orthogal.cli as cli
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    args = ["classify", "--poly", "1,-3,1,-3,1", "--prime-budget", "500"]
+    _, first = dispatch(args)
+    assert dispatch(["classify", "--poly"])[0] == 64
+    assert dispatch(["classify", "--prime-budget", "x",
+                     "--poly", "1"])[0] == 64
+    _, second = dispatch(args)
+    assert json.dumps(first, sort_keys=True) == json.dumps(second,
+                                                           sort_keys=True)
+    _, default = dispatch(args[:3])
+    assert default["payload"]["prime_budget"] == 10 ** 4
+    assert len(builds) == 1
+
+
 def test_reports_are_byte_identical():
     args = SMOKE_ARGS["orth-stats"]
     _, a = dispatch(args)

@@ -127,11 +127,11 @@ def test_batch_factor_degrees_computes_discriminant_once(monkeypatch):
         return discriminant(f)
 
     monkeypatch.setattr(galclass, "discriminant", counting)
-    galclass._degenerate_numerator.cache_clear()
+    galclass._int_discriminant.cache_clear()
     coeffs = [-3, 1, 0, 1]
     first = batch_factor_degrees(coeffs, [3, 5, 7, 11, 13])
     again = batch_factor_degrees(coeffs, [3, 5, 7, 11, 13])
-    galclass._degenerate_numerator.cache_clear()
+    galclass._int_discriminant.cache_clear()
     assert first == again and len(calls) == 1
     _assert_matches_single_prime(coeffs, [3, 5, 7, 11, 13], first)
 
@@ -388,6 +388,17 @@ def _classify_corpus():
     corpus += [trace_lift(Poly([rng.randint(-6, 6), 1]) * rand_h(n))
                for n in (1, 2, 3)]
     corpus += _square_disc_cores(rng, 4)
+    # reducible h, whose scans the factorization of h cuts short: h1 h2
+    # with a rational root, a root 5/2 (the lift 2T^2 - 5T + 2 splits),
+    # T^2 - 5 (lift (T^2 - T - 1)(T^2 + T - 1)) alone and times a cubic,
+    # and T^4 - 10T^2 + 1, irreducible but split mod every prime
+    corpus += [trace_lift(rand_h(2) * rand_h(3) * Poly([rng.randint(3, 6), 1]))
+               for _ in range(2)]
+    corpus += [trace_lift(Poly([Fraction(-5, 2), 1]) * rand_h(n))
+               for n in (2, 3)]
+    corpus += [trace_lift(Poly([-5, 0, 1])),
+               trace_lift(Poly([-5, 0, 1]) * rand_h(3)),
+               trace_lift(Poly([1, 0, -10, 0, 1]))]
     for q in (5, 7):
         E = lfunc.FqTCurve.from_a_invariants(get_field(q), [0], [-1, -1],
                                              [0], [0, 1], [0])
@@ -439,16 +450,87 @@ def _record_rows(monkeypatch):
     return rows
 
 
+def test_classify_stops_early_when_h_is_reducible(monkeypatch):
+    # h = (T - 3)(T^2 - 3) never shows class 1, and disc(h) = 432 is no
+    # square; factoring h over Q after the first block rules class 1 out
+    rows = _record_rows(monkeypatch)
+    cert = classify(trace_lift(Poly([-3, 1]) * Poly([-3, 0, 1])))
+    assert cert.reason == "missing witnesses for classes [1]"
+    assert len(rows) == 2 and sum(rows) <= 2 * 32
+
+
+def test_classify_computes_two_discriminants(monkeypatch):
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return discriminant(f)
+
+    monkeypatch.setattr(galclass, "discriminant", counting)
+    for P in (trace_lift(Poly([-3, 1]) * Poly([-3, 0, 1])),
+              trace_lift(Poly([-2, 0, 0, 0, 1])) * Poly([1, 0, -1]),
+              Poly([Fraction(7, 3), 5, Fraction(7, 3)])
+              * Poly([1, 0, 3, 0, 1])):
+        galclass._int_discriminant.cache_clear()
+        calls.clear()
+        classify(P)
+        assert len(calls) == 2
+    galclass._int_discriminant.cache_clear()
+
+
+def _reductions_below(int_coeffs, bound):
+    primes = primes_up_to(bound)
+    primes = primes[primes > 2]
+    return list(zip(primes.tolist(), batch_factor_degrees(int_coeffs, primes)))
+
+
+def test_rational_parts_contain_every_prime():
+    # for reducible h the classes of every good prime below 10^4 lie in
+    # the set refined by the factorization of h, and class 1 is not in it
+    rng = random.Random(29)
+
+    def rand_h(n):
+        return Poly([rng.randint(-7, 7) for _ in range(n)] + [1])
+
+    hs = [rand_h(2) * rand_h(2), rand_h(1) * rand_h(3), rand_h(2) * rand_h(4),
+          rand_h(1) * rand_h(1) * rand_h(2), Poly([-5, 0, 1]) * rand_h(2),
+          Poly([Fraction(-5, 2), 1]) * rand_h(3),
+          Poly([-3, 1]) * Poly([-3, 0, 1])]
+    for h in hs:
+        f = trace_lift(h)
+        if discriminant(f) == 0 or f(1) == 0 or f(-1) == 0:
+            continue
+        int_f, _ = galclass._clear_denominators(f)
+        int_h, _ = galclass._clear_denominators(h)
+        disc_f, disc_h = discriminant(f), discriminant(h)
+        rows = [(ell, ft, ht) for (ell, ft), (_, ht) in
+                zip(_reductions_below(int_f, 10 ** 4),
+                    _reductions_below(int_h, 10 ** 4))]
+        parts = galclass._rational_parts(int_f, int_h, rows[:32])
+        assert len(parts) >= 2, h
+        reachable = galclass._reachable_classes(
+            h.degree, is_perfect_square(Fraction(disc_f)),
+            is_perfect_square(Fraction(disc_h)),
+            is_perfect_square(Fraction(disc_f * disc_h)), parts)
+        assert 1 not in reachable
+        for ell, ft, ht in rows:
+            if ft is None or ht is None or len(ft) > 8:
+                continue
+            assert galclass.classes_from_degrees(ht, ft) <= reachable, \
+                (h, ell, parts)
+
+
 def test_classify_factors_primes_in_growing_blocks(monkeypatch):
     rows = _record_rows(monkeypatch)
     assert classify(trace_lift(Poly([-3, -1, 1]))).status == "Certified"
     assert 0 < rows[0] <= 32
-    # h = (T - 3)(T^2 - 3) never shows class 1, and disc(h) = 432 is no
-    # square, so the scan runs through the whole budget
-    f = trace_lift(Poly([-3, 1]) * Poly([-3, 0, 1]))
+    # h = T^4 - 2 has Galois group D4, so no prime shows the degree-3
+    # factor of class 2; h is irreducible and neither rule sees that,
+    # so the scan runs through the whole budget
+    f = trace_lift(Poly([-2, 0, 0, 0, 1]))
     odd = len(primes_up_to(10 ** 4)) - 1
     rows.clear()
-    assert classify(f).reason == "missing witnesses for classes [1]"
+    assert classify(f).reason == "missing witnesses for classes [2]"
     assert sum(rows) >= 2 * (odd - 5) and len(rows) <= 2 * 4
     rows.clear()
     classify(f, prime_budget=10 ** 5)

@@ -258,3 +258,63 @@ def test_poly_string_roundtrip():
     assert poly_to_string(f) == "1,-3,1"
     F = get_field(5)
     assert poly_from_string("1,-3,1", F) == Poly([1, 2, 1], F)
+
+
+def _int_product(factors):
+    out = [1]
+    for g in factors:
+        out = [sum(out[i] * g[k - i] for i in range(len(out))
+                   if 0 <= k - i < len(g))
+               for k in range(len(out) + len(g) - 1)]
+    return out
+
+
+def _factor_over_z_corpus():
+    """Squarefree integer polynomials whose factorization over Z the
+    recombination has to find, seeded."""
+    from orthogal.galclass import _clear_denominators
+
+    rng = random.Random(23)
+    corpus = [[1, 0, -10, 0, 1]]        # irreducible, splits mod every l
+    while len(corpus) < 40:             # products of irreducibles, deg 1-6
+        degrees = [rng.randint(1, 6) for _ in range(rng.randint(1, 4))]
+        if len(corpus) % 4 == 0:        # repeated degrees
+            degrees = [degrees[0]] * len(degrees)
+        factors = [[rng.randint(-9, 9) for _ in range(k)] + [rng.randint(1, 4)]
+                   for k in degrees]
+        corpus.append(_int_product(factors))
+    for _ in range(6):                  # non-monic, from a monic h over Q
+        h = Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                  for _ in range(3)] + [1]) * \
+            Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 6)), 1])
+        corpus.append(_clear_denominators(h)[0])
+    for degrees in ((2, 3), (1, 4), (3, 3)):    # beyond int64
+        corpus.append(_int_product(
+            [[rng.randint(-10 ** 12, 10 ** 12) for _ in range(k)]
+             + [rng.randint(1, 10 ** 6)] for k in degrees]))
+    return corpus
+
+
+def test_factor_over_z_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from orthogal.galclass import batch_factor_degrees, primes_up_to
+    from orthogal.poly import _factor_over_z
+
+    x = sympy.Symbol("x")
+    primes = [int(p) for p in primes_up_to(150) if p > 2]
+    checked = 0
+    for cs in _factor_over_z_corpus():
+        expr = sympy.Poly(list(reversed(cs)), x)
+        if sympy.discriminant(expr) == 0:
+            continue
+        want = []
+        for g, mult in sympy.factor_list(expr)[1]:
+            g = [int(c) for c in reversed(sympy.Poly(g, x).all_coeffs())]
+            want += [g if g[-1] > 0 else [-c for c in g]] * mult
+        reductions = [(ell, t) for ell, t in
+                      zip(primes, batch_factor_degrees(cs, primes))
+                      if t is not None]
+        got = _factor_over_z(cs, reductions)
+        assert sorted(got) == sorted(want), cs
+        checked += 1
+    assert checked >= 45

@@ -2,6 +2,7 @@
 discriminant identity, the six-class machinery, and the irreducible
 bucket counts against a direct enumeration oracle."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -285,3 +286,60 @@ def test_count_irreducible_classes_budget():
     from orthogal.errors import BudgetExceededError
     with pytest.raises(BudgetExceededError):
         count_irreducible_classes(13, 9, budget=10 ** 6)
+
+
+def _monic_polys(F, n):
+    for code in range(F.q ** n):
+        cs, c = [], code
+        for _ in range(n):
+            cs.append(c % F.q)
+            c //= F.q
+        yield Poly(cs + [1], F)
+
+
+@pytest.mark.parametrize("ell", [3, 5])
+def test_reachable_classes_of_a_product_contain_every_reduction(ell):
+    # h = h1 h2 over F_l shows only classes allowed for the parts
+    # (deg h_i, lift of h_i split), where "split" means each factor of
+    # h_i lifts to two of its own degree, as a split lift over Q forces
+    F = get_field(ell)
+
+    def part(g):
+        doubled = sorted(k for k in factor_degrees(g) for _ in (0, 1))
+        return g.degree, factor_degrees(trace_lift(g)) == doubled
+
+    for n in (2, 3, 4):
+        for d1 in range(1, n // 2 + 1):
+            for h1 in _monic_polys(F, d1):
+                for h2 in _monic_polys(F, n - d1):
+                    h = h1 * h2
+                    if not in_P_n(h):
+                        continue
+                    chi_h = F.square_class(discriminant(h)).sign
+                    chi_f = F.square_class(
+                        discriminant(trace_lift(h))).sign
+                    allowed = _reachable_classes(
+                        n, chi_f == 1, chi_h == 1, chi_f * chi_h == 1,
+                        tuple(sorted((part(h1), part(h2)))))
+                    assert classify_H(h) <= allowed, (ell, h1, h2)
+
+
+def test_reachable_classes_refine_by_rational_factors():
+    every = frozenset(range(1, 7))
+    assert _reachable_classes(4, False, False, False, ((4, False),)) == every
+    # two quadratic factors: no class 1, and no degree-3 factor (class 2)
+    assert _reachable_classes(4, False, False, False,
+                              ((2, False), (2, False))) == {3, 4, 5, 6}
+    # ... and with split lifts every f-pattern is doubled
+    assert _reachable_classes(4, False, False, False,
+                              ((2, True), (2, True))) == {3, 5}
+    for n in range(2, 9):
+        for flags in itertools.product((False, True), repeat=3):
+            whole = _reachable_classes(n, *flags)
+            for d in range(1, n // 2 + 1):
+                for lifts in itertools.product((False, True), repeat=2):
+                    parts = tuple(sorted(zip((d, n - d), lifts)))
+                    refined = _reachable_classes(n, *flags, parts)
+                    assert refined <= whole and 1 not in refined
+    with pytest.raises(ValueError):
+        _reachable_classes(4, False, False, False, ((1, False), (2, False)))
