@@ -89,6 +89,12 @@ def primes_up_to(bound: int):
 # larger primes.
 
 
+# Most rows the kernel takes in one call where the caller chooses the
+# block (classify's prime blocks, the trace-form censuses of orthfin), so
+# its (levels x rows x degree) arrays stay small.
+BLOCK_ROWS = 2048
+
+
 def _max_kernel_prime(d: int) -> int:
     """Largest l with d (l - 1)^2 < 2^63 (see the overflow note)."""
     return 1 + math.isqrt((2 ** 63 - 1) // d)
@@ -260,6 +266,45 @@ def _reduce_rows(int_coeffs, primes):
     return cs[None, :] % primes[:, None]
 
 
+def _factor_degree_rows(C, m):
+    """Sorted factor degree tuple of each row of C over F_m for its row's
+    prime m.
+
+    C: (R, d+1) monic rows with d >= 1, reduced into [0, m) and
+    squarefree mod m (a row that is not raises ArithmeticError or gives
+    wrong degrees); the caller checks that the primes fit the overflow
+    bound.  One Frobenius chain and one batched Euclid serve every row.
+    """
+    R, dp1 = C.shape
+    d = dp1 - 1
+    kmax = d // 2
+    # n[k] = number of irreducible factors of degree k, for k <= d/2
+    n = np.zeros((kmax + 1, R), dtype=np.int64)
+    if kmax >= 1 and R:
+        chains = _batch_frobenius_chains(C, m, kmax)
+        chains[:, :, 1] = (chains[:, :, 1] - 1) % m   # x^(l^k) - x
+        g = _batch_gcd_degrees(chains.reshape(kmax * R, d),
+                               np.tile(C, (kmax, 1)),
+                               np.tile(m, kmax)).reshape(kmax, R)
+        for k in range(1, kmax + 1):
+            below = sum(j * n[j] for j in range(1, k) if k % j == 0)
+            n[k], inexact = np.divmod(g[k - 1] - below, k)
+            if inexact.any() or (n[k] < 0).any():
+                raise ArithmeticError(f"gcd degrees at level {k} do not "
+                                      "fit a squarefree factorization")
+    # the rest is one irreducible factor of degree > d/2, if any
+    rest = d - (np.arange(kmax + 1)[:, None] * n).sum(axis=0)
+    if ((rest < 0) | ((rest > 0) & (rest <= kmax))).any():
+        raise ArithmeticError("factor degrees do not add up to the degree")
+    out = []
+    for counts, r in zip(n[1:].T.tolist(), rest.tolist()):
+        degs = [k for k, nk in enumerate(counts, 1) for _ in range(nk)]
+        if r:
+            degs.append(r)
+        out.append(tuple(degs))
+    return out
+
+
 def batch_factor_degrees(int_coeffs, primes):
     """Factor degree multisets of one integer polynomial mod many primes.
 
@@ -267,7 +312,8 @@ def batch_factor_degrees(int_coeffs, primes):
     irreducible factor degrees with multiplicity, or None when the
     reduction is degenerate (leading coefficient vanishes or the
     reduction is not squarefree).  Raises ValueError when a prime is
-    too large for exact int64 arithmetic at this degree.
+    too large for exact int64 arithmetic at this degree.  The good
+    reductions, one row per prime, go through _factor_degree_rows.
     """
     int_coeffs = tuple(int(c) for c in int_coeffs)
     d = len(int_coeffs) - 1
@@ -285,31 +331,8 @@ def batch_factor_degrees(int_coeffs, primes):
     # monic reductions: multiply by lc^(l - 2), the inverse of lc mod l
     C = _reduce_rows(int_coeffs, m)
     C = C * _vec_powmod(C[:, -1], m - 2, m)[:, None] % m[:, None]
-    kmax = d // 2
-    P = len(gidx)
-    # n[k] = number of irreducible factors of degree k, for k <= d/2
-    n = np.zeros((kmax + 1, P), dtype=np.int64)
-    if kmax >= 1:
-        chains = _batch_frobenius_chains(C, m, kmax)
-        chains[:, :, 1] = (chains[:, :, 1] - 1) % m   # x^(l^k) - x
-        g = _batch_gcd_degrees(chains.reshape(kmax * P, d),
-                               np.tile(C, (kmax, 1)),
-                               np.tile(m, kmax)).reshape(kmax, P)
-        for k in range(1, kmax + 1):
-            below = sum(j * n[j] for j in range(1, k) if k % j == 0)
-            n[k], inexact = np.divmod(g[k - 1] - below, k)
-            if inexact.any() or (n[k] < 0).any():
-                raise ArithmeticError(f"gcd degrees at level {k} do not "
-                                      "fit a squarefree factorization")
-    # the rest is one irreducible factor of degree > d/2, if any
-    rest = d - (np.arange(kmax + 1)[:, None] * n).sum(axis=0)
-    if ((rest < 0) | ((rest > 0) & (rest <= kmax))).any():
-        raise ArithmeticError("factor degrees do not add up to the degree")
-    for idx, counts, r in zip(gidx.tolist(), n[1:].T.tolist(), rest.tolist()):
-        degs = [k for k, nk in enumerate(counts, 1) for _ in range(nk)]
-        if r:
-            degs.append(r)
-        results[idx] = tuple(degs)
+    for idx, degs in zip(gidx.tolist(), _factor_degree_rows(C, m)):
+        results[idx] = degs
     return results
 
 
@@ -428,12 +451,13 @@ def group_constraint(N: int, eps: int,
 
 def _prime_blocks(primes, bad_num: int):
     """The primes not dividing bad_num, in blocks cut from the first 32,
-    the next 224, then each block twice the one before, at most 2048."""
+    the next 224, then each block twice the one before, at most
+    BLOCK_ROWS."""
     start, size = 0, 32
     while start < len(primes):
         block = primes[start:start + size]
         start += size
-        size = 224 if start == 32 else min(2 * size, 2048)
+        size = 224 if start == 32 else min(2 * size, BLOCK_ROWS)
         yield block[[bad_num % int(ell) != 0 for ell in block]]
 
 

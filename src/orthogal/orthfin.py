@@ -8,6 +8,20 @@ spaces, exact conjugacy-class proportions for prescribed characteristic
 polynomials, and the per-coset class densities that drive the sieve
 experiments.
 
+A class proportion needs, of the trace form h of f, only the degrees d_i
+of its irreducible factors h_i and the signs e_i = +-1 of h_i(2)
+h_i(-2) as square classes.  The signs follow from degrees alone: the
+lift of h_i splits as [d_i, d_i] when e_i = +1 and stays irreducible of
+degree 2 d_i otherwise, so the factor degrees of h and of f fix how
+many factors of each degree have e_i = +1 (_sign_pairs).  The
+densities sum over a census of every monic h of degree n over F_q,
+grouped by what the proportions read (classes, number of factors of f,
+the (d_i, e_i) and the square classes of f(1), f(-1)).  It is built
+once per (F, n) and kept in a bounded cache: over a prime field as
+int64 rows, in blocks of at most galclass.BLOCK_ROWS, through the
+batched gcd and factor-degree kernels of galclass; over F_{p^e} by
+scalar factoring of each h.
+
 Spinor norms follow Zassenhaus (On the spinor norm, Arch. Math. 13,
 1962), normalised so that a reflection r_v has spin(r_v) = class(<v,v>).
 With M = I - A of rank r and any r-subset J of indices whose principal
@@ -24,18 +38,23 @@ arrays; everything else works over any odd prime power.
 
 from __future__ import annotations
 
+import functools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iter_product
-from math import prod
+from math import comb, prod
 import random
 
 import numpy as np
 
 from .errors import BudgetExceededError, NotSeparableError
 from .ffield import Fq, get_field, SquareClass, SQUARE, NONSQUARE, ZERO_CLASS
-from .poly import Poly, factor
-from .recpoly import to_trace_form, classify_H, trace_lift, reciprocal_sign
+from .galclass import (BLOCK_ROWS, _batch_gcd_degrees, _check_kernel_prime,
+                       _factor_degree_rows, _vec_powmod)
+from .poly import Poly, factor_degrees
+from .recpoly import (to_trace_form, trace_lift, reciprocal_sign, in_P_n,
+                      classes_from_degrees)
 
 
 class OrthSpace:
@@ -527,24 +546,35 @@ def enumerate_O(V: OrthSpace, budget: int = 2 * 10 ** 6) -> GroupTable:
 # ---------------------------------------------------------------------------
 
 
-def _e_signs_and_degrees(f: Poly):
-    """Per irreducible factor h_i of the trace form of f: (deg h_i, e_i)
-    with e_i = +1 iff h_i(2) h_i(-2) is a square."""
-    F = f.field
-    h = to_trace_form(f).h
-    if h.degree >= 1 and not h.is_squarefree():
-        raise NotSeparableError("trace form is not separable")
-    unit, factors = factor(h)
-    out = []
-    for hi, m in factors:
-        if m != 1:
-            raise NotSeparableError("trace form has a repeated factor")
-        val = F.mul(hi.eval_int(2), hi.eval_int(-2))
-        sc = F.square_class(val)
-        if sc == ZERO_CLASS:
-            raise ValueError("boundary zero in a factor")
-        out.append((hi.degree, 1 if sc == SQUARE else -1))
-    return out
+def _sign_pairs(hdeg, fdeg) -> tuple:
+    """Sorted (deg h_i, e_i) over the irreducible factors h_i of a trace
+    form h in P_n, from the factor degrees of h and of its lift f alone.
+
+    e_i = +1 iff h_i(2) h_i(-2) is a square.  That product is the norm
+    of b^2 - 4 for a root b of h_i, so e_i = +1 exactly when the roots a
+    of a^2 - b a + 1 lie in F_q(b): the lift of h_i then splits as
+    [d, d], and otherwise stays irreducible of degree 2d.  With a_k, b_k
+    the numbers of degree-k factors of h and of f, the number s_k of
+    e = +1 factors of degree k solves b_k = 2 s_k + a_{k/2} - s_{k/2},
+    in increasing k.  Raises ArithmeticError when the degrees admit no
+    such solution (h not in P_n, or f not its lift).
+    """
+    a, b = Counter(hdeg), Counter(fdeg)
+    s: dict = {}
+    pairs = []
+    for k in sorted(a):
+        unsplit = a[k // 2] - s.get(k // 2, 0) if k % 2 == 0 else 0
+        s[k], odd = divmod(b[k] - unsplit, 2)
+        if odd or not 0 <= s[k] <= a[k]:
+            break
+        pairs += [(k, -1)] * (a[k] - s[k]) + [(k, 1)] * s[k]
+    else:
+        lifted = Counter()
+        for k, e in pairs:
+            lifted.update([k, k] if e == 1 else [2 * k])
+        if lifted == b:
+            return tuple(pairs)
+    raise ArithmeticError(f"factor degrees {hdeg} of h do not lift to {fdeg}")
 
 
 def _base_product(q: int, pairs) -> Fraction:
@@ -585,16 +615,27 @@ def class_proportion(V: OrthSpace, f: Poly, case: str,
     case "even2": N = 2n+2, char poly (1-T^2) f, spinor class beta
                   (beta=None sums over both choices).
     case "odd":   N = 2n+1, char poly (1 - eps T) f.
+
+    The signs e_i of the factors of the trace form come from the factor
+    degrees of h and f (_sign_pairs).
     """
     F = V.field
     if f.field != F:
         raise ValueError("field mismatch")
     _check_f(f)
-    n = f.degree // 2
-    pairs = _e_signs_and_degrees(f)
+    h = to_trace_form(f).h
+    return _class_data(V, f.degree // 2,
+                       _sign_pairs(factor_degrees(h), factor_degrees(f)),
+                       F.square_class(f.eval_int(1)),
+                       F.square_class(f.eval_int(-1)), case, beta, eps)
+
+
+def _class_data(V: OrthSpace, n: int, pairs, f1: SquareClass,
+                fm1: SquareClass, case: str, beta: SquareClass | None,
+                eps: int | None) -> ClassData:
+    """class_proportion from the (deg, e) pairs of the trace form and the
+    square classes f1, fm1 of f(1), f(-1)."""
     base = _base_product(V.q, pairs)
-    f1 = F.square_class(f.eval_int(1))
-    fm1 = F.square_class(f.eval_int(-1))
     if case == "even":
         if V.N != 2 * n:
             raise ValueError("dimension mismatch")
@@ -618,31 +659,102 @@ def class_proportion(V: OrthSpace, f: Poly, case: str,
 
 
 # ---------------------------------------------------------------------------
-# Per-coset class densities
+# Trace-form censuses and per-coset class densities
 # ---------------------------------------------------------------------------
 
 
-def _monic_polys(F: Fq, deg: int):
-    for code in range(F.q ** deg):
-        c = code
-        coeffs = []
-        for _ in range(deg):
-            coeffs.append(c % F.q)
-            c //= F.q
-        yield Poly(coeffs + [1], F)
+@functools.lru_cache(maxsize=32)
+def _census(F: Fq, n: int) -> tuple:
+    """The census of the monic degree-n h over F, built once per (F, n)."""
+    return _build_census(F, n)
 
 
-def _qualifying_f(F: Fq, n: int, i: int):
-    """All f = T^n h(T+1/T) with h in H_{n,i} and at most eight
-    irreducible factors in f, by enumeration of trace forms."""
-    from .poly import factor_degrees
-    for h in _monic_polys(F, n):
-        if i not in classify_H(h):
+def _build_census(F: Fq, n: int) -> tuple:
+    """((classes, #factors of f, (deg, e) pairs, class f(1), class
+    f(-1)), count) over every h in P_n, f = T^n h(T + 1/T).
+
+    The q^n monic h are int64 rows (ascending coefficients, code c has
+    coefficients the base-q digits of c), at most BLOCK_ROWS at a time.
+    """
+    q = F.q
+    total = q ** n
+    rows = Counter()
+    for start in range(0, total, BLOCK_ROWS):
+        codes = np.arange(start, min(start + BLOCK_ROWS, total),
+                          dtype=np.int64)
+        H = np.ones((len(codes), n + 1), dtype=np.int64)
+        for k in range(n):
+            H[:, k] = codes // q ** k % q
+        block = (_prime_census_rows(H, q) if F.e == 1
+                 else _scalar_census_rows(F, H))
+        rows.update(row for row in block if row is not None)
+    census = Counter()
+    for (hdeg, fdeg, f1, fm1), count in rows.items():
+        census[(classes_from_degrees(hdeg, fdeg), len(fdeg),
+                _sign_pairs(hdeg, fdeg), f1, fm1)] += count
+    return tuple(census.items())
+
+
+def _prime_census_rows(H: np.ndarray, p: int) -> list:
+    """Per row h of H over F_p: None when h is not in P_n, else (degrees
+    of h, degrees of f, class of f(1), class of f(-1)).
+
+    Squarefree means gcd(h, h') = 1, by the batched Euclid; f(1) = h(2)
+    and f(-1) = (-1)^n h(-2) come by Horner's rule, their square
+    classes by Euler's criterion, and f = H B mod p for the binomial
+    matrix B of T^(n-k) (T^2 + 1)^k.  h and f go through the row kernel.
+    """
+    n = H.shape[1] - 1
+    _check_kernel_prime(2 * n, p)
+    m = np.full(len(H), p, dtype=np.int64)
+    h2, hm2 = _horner(H, 2, p), _horner(H, -2 % p, p)
+    good = ((_batch_gcd_degrees(H, H[:, 1:] * np.arange(1, n + 1) % p, m) == 0)
+            & (h2 != 0) & (hm2 != 0))
+    H, m = H[good], m[good]
+    rows = zip(_factor_degree_rows(H, m),
+               _factor_degree_rows(H @ _lift_matrix(n, p) % p, m),
+               _euler_classes(h2[good], p),
+               _euler_classes((-1) ** n * hm2[good] % p, p))
+    return [next(rows) if g else None for g in good.tolist()]
+
+
+def _euler_classes(x: np.ndarray, p: int) -> list:
+    """Square class of each non-zero x mod p, by Euler's criterion."""
+    r = _vec_powmod(x, np.full(len(x), (p - 1) // 2, dtype=np.int64), p)
+    return [SQUARE if v == 1 else NONSQUARE for v in r.tolist()]
+
+
+def _horner(H: np.ndarray, x: int, p: int) -> np.ndarray:
+    """Each row polynomial of H evaluated at x, mod p."""
+    val = np.zeros(len(H), dtype=np.int64)
+    for k in range(H.shape[1] - 1, -1, -1):
+        val = (val * x + H[:, k]) % p
+    return val
+
+
+def _lift_matrix(n: int, p: int) -> np.ndarray:
+    """(n+1, 2n+1) matrix mod p whose row k is T^(n-k) (T^2 + 1)^k, so
+    that f = T^n h(T + 1/T) is h's coefficient row times it."""
+    B = np.zeros((n + 1, 2 * n + 1), dtype=np.int64)
+    for k in range(n + 1):
+        for j in range(k + 1):
+            B[k, n - k + 2 * j] = comb(k, j) % p
+    return B
+
+
+def _scalar_census_rows(F: Fq, H: np.ndarray) -> list:
+    """_prime_census_rows over any F_q, by Poly arithmetic row by row."""
+    out: list = []
+    for row in H.tolist():
+        h = Poly(row, F)
+        if not in_P_n(h):
+            out.append(None)
             continue
         f = trace_lift(h)
-        if len(factor_degrees(f)) > 8:
-            continue
-        yield f
+        out.append((tuple(factor_degrees(h)), tuple(factor_degrees(f)),
+                    F.square_class(f.eval_int(1)),
+                    F.square_class(f.eval_int(-1))))
+    return out
 
 
 def c_i_density(V: OrthSpace, kappa: CosetLabel, i: int,
@@ -653,7 +765,17 @@ def c_i_density(V: OrthSpace, kappa: CosetLabel, i: int,
     The coset kappa has det = eps and spinor class delta; membership in
     C_i is decided by the stripped characteristic polynomial lying in
     the i-th class family, with the C_6 = kappa convention when N is
-    even and eps = 1.
+    even and eps = 1.  A qualifying f = T^n h(T + 1/T) has h in H_{n,i}
+    and at most eight irreducible factors.
+
+    The sum runs over the census of the trace forms h of degree n over
+    F_q (_census): every h in P_n grouped by its classes, the number of
+    factors of f, the (deg, e) pairs of its factors (the signs follow
+    from the degrees, see _sign_pairs) and the square classes of f(1)
+    and f(-1), which is all class_proportion reads.  Over a prime field
+    the census is built by the batched row kernel, over F_{p^e} by
+    scalar factoring.  It is memoised per (F, n) in a bounded cache, and
+    the budget on q^n is checked before it is built.
     """
     N = V.N
     F = V.field
@@ -666,27 +788,21 @@ def c_i_density(V: OrthSpace, kappa: CosetLabel, i: int,
     if N % 2 == 0 and eps == 1 and i == 6:
         return Fraction(1)
     if N % 2 == 1:
-        n = (N - 1) // 2
+        n, case = (N - 1) // 2, "odd"
     elif eps == -1:
-        n = (N - 2) // 2
+        n, case = (N - 2) // 2, "even2"
     else:
-        n = N // 2
+        n, case = N // 2, "even"
     if q ** n > budget:
         raise BudgetExceededError(f"{q}^{n} trace forms exceed budget")
     total = Fraction(0)
     # |kappa| = |O(V)| / 4 for N >= 3, q > 3
-    for f in _qualifying_f(F, n, i):
-        if N % 2 == 1:
-            cd = class_proportion(V, f, "odd", eps=eps)
-            if cd.spin == delta:
-                total += 4 * cd.proportion
-        elif eps == -1:
-            cd = class_proportion(V, f, "even2", beta=delta)
-            total += 4 * cd.proportion
-        else:
-            cd = class_proportion(V, f, "even")
-            if cd.spin == delta and cd.proportion:
-                total += 4 * cd.proportion
+    for (classes, nf, pairs, f1, fm1), count in _census(F, n):
+        if i not in classes or nf > 8:
+            continue
+        cd = _class_data(V, n, pairs, f1, fm1, case, beta=delta, eps=eps)
+        if cd.proportion and cd.spin == delta:
+            total += 4 * count * cd.proportion
     return total
 
 

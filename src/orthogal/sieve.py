@@ -251,9 +251,13 @@ def density_experiment(N: int, primes, labels, i: int,
     coset at each prime all miss the i-th class set.
 
     labels maps each prime to a CosetLabel (or supplies one label used
-    for every prime).
+    for every prime).  A repeated prime raises ValueError: the draws at
+    one prime are a single draw, so its density enters the miss
+    probability once.
     """
     primes = tuple(sorted(primes))
+    if len(set(primes)) != len(primes):
+        raise ValueError(f"repeated prime in {list(primes)}")
     if isinstance(labels, CosetLabel):
         labels = {ell: labels for ell in primes}
     densities = {}

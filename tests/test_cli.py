@@ -136,6 +136,19 @@ def test_density_rejects_bad_coset_det(coset):
     assert report_schema_validate(report)
 
 
+def test_density_rejects_a_repeated_prime():
+    code, report = dispatch(["density", "--N", "3", "--i", "1",
+                             "--primes", "5,5"])
+    assert code == 1
+    assert report["payload"]["error"].startswith("ValueError")
+    assert "repeated prime" in report["payload"]["error"]
+    assert report_schema_validate(report)
+    ordered = dispatch(["density", "--N", "3", "--i", "1", "--primes", "5,7"])
+    swapped = dispatch(["density", "--N", "3", "--i", "1", "--primes", "7,5"])
+    assert ordered[0] == swapped[0] == 0
+    assert ordered[1]["payload"] == swapped[1]["payload"]
+
+
 def test_invalid_report_raises(monkeypatch):
     import orthogal.cli as cli
     monkeypatch.setattr(cli, "report_schema_validate", lambda report: False)

@@ -7,6 +7,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product as iter_product
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ import pytest
 from orthogal.errors import BudgetExceededError, NotReciprocalError, \
     NotSeparableError
 from orthogal.ffield import get_field, SQUARE, NONSQUARE
-from orthogal.poly import Poly, factor_degrees
-from orthogal.recpoly import strip, to_trace_form, classify_H, trace_lift
+from orthogal import orthfin
+from orthogal.poly import Poly, factor, factor_degrees
+from orthogal.recpoly import (strip, to_trace_form, classify_H, trace_lift,
+                              in_P_n)
 from orthogal.orthfin import (OrthSpace, OrthElem, CosetLabel, ALL_COSETS,
                               enumerate_O, reflection, spinor_norm,
                               coset_label, identity_elem, class_proportion,
@@ -327,6 +330,169 @@ def test_c_i_density_input_validation():
     with pytest.raises(BudgetExceededError):
         c_i_density(OrthSpace.canonical(F, 12, SQUARE), ALL_COSETS[0], 1,
                     budget=10)
+
+
+def _monic_rows(q, n):
+    """Every monic degree-n h over F_q as ascending coefficient codes."""
+    return [list(cs) + [1] for cs in iter_product(range(q), repeat=n)]
+
+
+def _factored_sign_pairs(h):
+    """The factoring route: sorted (deg h_i, e_i) with e_i = +1 iff
+    h_i(2) h_i(-2) is a square, over the irreducible factors h_i."""
+    F = h.field
+    _, factors = factor(h)
+    assert all(mult == 1 for _, mult in factors)
+    return tuple(sorted(
+        (hi.degree,
+         F.square_class(F.mul(hi.eval_int(2), hi.eval_int(-2))).sign)
+        for hi, _ in factors))
+
+
+@pytest.mark.parametrize("p,e,max_n", [(5, 1, 3), (7, 1, 3), (3, 2, 2)])
+def test_sign_pairs_match_factoring(p, e, max_n):
+    F = get_field(p, e)
+    checked = 0
+    for n in range(1, max_n + 1):
+        for row in _monic_rows(F.q, n):
+            h = Poly(row, F)
+            if not in_P_n(h):
+                continue
+            pairs = orthfin._sign_pairs(factor_degrees(h),
+                                        factor_degrees(trace_lift(h)))
+            assert pairs == _factored_sign_pairs(h), row
+            checked += 1
+    assert checked > 0
+
+
+def test_sign_pairs_reject_degrees_that_do_not_lift():
+    for hdeg, fdeg in [((1,), (1,)), ((1,), (1, 1, 1)), ((2,), (1, 3)),
+                       ((1, 1), (2, 1))]:
+        with pytest.raises(ArithmeticError):
+            orthfin._sign_pairs(hdeg, fdeg)
+
+
+@lru_cache(maxsize=None)
+def _qualifying_f(F, n):
+    """(classes of h, f) for every f = T^n h(T+1/T) with h in P_n and at
+    most eight irreducible factors in f, one h at a time."""
+    out = []
+    for row in _monic_rows(F.q, n):
+        h = Poly(row, F)
+        classes = classify_H(h)
+        if not classes:
+            continue
+        f = trace_lift(h)
+        if len(factor_degrees(f)) <= 8:
+            out.append((classes, f))
+    return out
+
+
+def _per_h_densities(V, kappa):
+    """{i: density} for i = 1..6 by the per-h loop over class_proportion:
+    the oracle for the census-backed c_i_density."""
+    N = V.N
+    eps, delta = kappa.det, kappa.spin
+    n = (N - 1) // 2 if N % 2 else (N - 2) // 2 if eps == -1 else N // 2
+    out = {i: Fraction(0) for i in range(1, 7)}
+    for classes, f in _qualifying_f(V.field, n):
+        if N % 2 == 1:
+            cd = class_proportion(V, f, "odd", eps=eps)
+            hit = cd.spin == delta
+        elif eps == -1:
+            cd = class_proportion(V, f, "even2", beta=delta)
+            hit = True
+        else:
+            cd = class_proportion(V, f, "even")
+            hit = cd.spin == delta and cd.proportion
+        if hit:
+            for i in classes:
+                out[i] += 4 * cd.proportion
+    if N % 2 == 0 and eps == 1:
+        out[6] = Fraction(1)
+    return out
+
+
+@pytest.mark.parametrize("p,e,Ns", [(5, 1, (3, 4, 5, 6)), (7, 1, (3, 4, 5, 6)),
+                                    (3, 2, (3, 4))])
+def test_c_i_density_matches_the_per_h_loop(p, e, Ns):
+    F = get_field(p, e)
+    for N in Ns:
+        for disc in (SQUARE, NONSQUARE):
+            V = OrthSpace.canonical(F, N, disc)
+            for kappa in ALL_COSETS:
+                want = _per_h_densities(V, kappa)
+                for i in range(1, 7):
+                    assert c_i_density(V, kappa, i) == want[i], \
+                        (F.q, N, disc, kappa, i)
+
+
+@pytest.mark.parametrize("p,max_n", [(5, 4), (7, 3)])
+def test_census_rows_match_scalar_factoring(p, max_n):
+    F = get_field(p)
+    for n in range(1, max_n + 1):
+        H = np.array(_monic_rows(p, n), dtype=np.int64)
+        batched = orthfin._prime_census_rows(H, p)
+        scalar = orthfin._scalar_census_rows(F, H)
+        assert batched == scalar, (p, n)
+        # h = (T - 2) g is outside P_n, so both leave rows out
+        assert any(row is None for row in batched)
+
+
+def test_census_does_not_depend_on_the_block_size(monkeypatch):
+    fields = [(get_field(5), 3), (get_field(7), 2), (get_field(3, 2), 2)]
+    default = [orthfin._build_census(F, n) for F, n in fields]
+    monkeypatch.setattr(orthfin, "BLOCK_ROWS", 7)
+    assert [orthfin._build_census(F, n) for F, n in fields] == default
+
+
+@pytest.fixture
+def fresh_census():
+    orthfin._census.cache_clear()
+    yield
+    orthfin._census.cache_clear()
+
+
+def test_c_i_density_checks_the_budget_before_the_census(monkeypatch,
+                                                         fresh_census):
+    def refuse(F, n):
+        raise AssertionError("census built despite the budget")
+
+    monkeypatch.setattr(orthfin, "_build_census", refuse)
+    V = OrthSpace.canonical(get_field(7), 7, SQUARE)
+    with pytest.raises(BudgetExceededError):
+        c_i_density(V, ALL_COSETS[0], 1, budget=7 ** 3 - 1)
+
+
+def test_census_memo_is_bounded_and_immutable(fresh_census):
+    assert orthfin._census.cache_info().maxsize is not None
+    census = orthfin._census(get_field(5), 3)
+    assert isinstance(census, tuple) and census
+    for (classes, nf, pairs, f1, fm1), count in census:
+        assert isinstance(classes, frozenset) and isinstance(pairs, tuple)
+        assert all(isinstance(pair, tuple) for pair in pairs)
+        assert isinstance(nf, int) and isinstance(count, int)
+        assert f1 in (SQUARE, NONSQUARE) and fm1 in (SQUARE, NONSQUARE)
+    # the census counts every h in P_3 over F_5 once
+    assert sum(count for _, count in census) == sum(
+        in_P_n(Poly(row, get_field(5))) for row in _monic_rows(5, 3))
+    assert orthfin._census(get_field(5), 3) is census
+
+
+def test_c_i_density_builds_each_census_once(monkeypatch, fresh_census):
+    built = []
+    inner = orthfin._build_census
+
+    def record(F, n):
+        built.append((F.q, n))
+        return inner(F, n)
+
+    monkeypatch.setattr(orthfin, "_build_census", record)
+    V = OrthSpace.canonical(get_field(7), 5, NONSQUARE)
+    first = c_i_density(V, ALL_COSETS[1], 2)
+    c_i_density(V, ALL_COSETS[3], 4)
+    assert c_i_density(V, ALL_COSETS[1], 2) == first
+    assert built == [(7, 2)]
 
 
 # ---------------------------------------------------------------------------

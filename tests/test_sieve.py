@@ -152,6 +152,17 @@ def test_density_experiment_per_prime_labels():
         (1 - exp.densities[7])
 
 
+def test_density_experiment_rejects_a_repeated_prime():
+    kappa = CosetLabel(1, SQUARE)
+    with pytest.raises(ValueError, match="repeated prime"):
+        density_experiment(3, [5, 5], kappa, 1)
+    with pytest.raises(ValueError, match="repeated prime"):
+        density_experiment(3, [7, 5, 7], kappa, 1)
+    # the order of distinct primes does not change the experiment
+    assert density_experiment(3, [5, 7], kappa, 1) == \
+        density_experiment(3, [7, 5], kappa, 1)
+
+
 def test_prop15_scan_small_grid():
     scan = prop15_scan([5, 7], [3], classes=range(1, 7))
     # full grid: 2 primes x 1 dim x 2 discs x 4 cosets x 6 classes
