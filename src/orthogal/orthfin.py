@@ -33,7 +33,15 @@ im(1 - A)),
 where g is the diagonal Gram matrix; the identity has spin Square.
 
 Enumeration is restricted to prime q so matrices can live in numpy
-arrays; everything else works over any odd prime power.
+arrays; everything else works over any odd prime power.  It is a
+breadth-first closure over reflections, which generate O(V) by
+Cartan-Dieudonne.  A candidate reflection becomes a generator only
+when it lies outside the subgroup found so far, and the closure then
+resumes from that subgroup.  Each matrix has an exact integer key (its
+base-p digits packed into int64 words), and a new layer is
+deduplicated against the last two layers only: reflections are
+involutions, so a product of a layer-d element with a generator lies
+in layer d - 1, d or d + 1.
 """
 
 from __future__ import annotations
@@ -64,6 +72,8 @@ class OrthSpace:
         if field.p == 2:
             raise ValueError("characteristic 2 not supported")
         gram = tuple(g if 0 <= g < field.q else field.from_int(g) for g in gram)
+        if not gram:
+            raise ValueError("Gram diagonal must be non-empty")
         if any(g == 0 for g in gram):
             raise ValueError("Gram diagonal entries must be nonzero")
         self.field = field
@@ -73,6 +83,8 @@ class OrthSpace:
     @staticmethod
     def canonical(field: Fq, N: int, disc: SquareClass) -> "OrthSpace":
         """Representative space (1, ..., 1, d) of the given discriminant."""
+        if N < 1:
+            raise ValueError(f"dimension must be >= 1, not {N}")
         if disc == ZERO_CLASS:
             raise ValueError("discriminant cannot be zero")
         d = 1 if disc == SQUARE else _least_nonsquare(field)
@@ -474,71 +486,113 @@ def _candidate_reflection_vectors(V: OrthSpace):
 def enumerate_O(V: OrthSpace, budget: int = 2 * 10 ** 6) -> GroupTable:
     """All of O(V) by breadth-first closure over reflections.
 
-    Reflections generate O(V); the closure starts from a deterministic
-    prefix of the reflection list and keeps adding further reflections
-    until the classical order formula is met, so the result is provably
-    complete.  Prime q only (matrices are numpy arrays mod p).
+    Reflections generate O(V).  The candidates of
+    _candidate_reflection_vectors are taken in order, and one becomes a
+    generator only when it lies outside the subgroup H found so far.
+    The closure then resumes from H: layer 0 is H, layer 1 is the part
+    of H g outside H for the new generator g (H s = H for the old
+    ones), and each further layer is the last layer times every
+    generator.  Since generators are involutions, the distance d(x)
+    from H changes by at most one under x -> x s, so a new layer need
+    only be deduplicated against the last two.  The enumeration stops
+    when the count reaches the classical order formula, so the result
+    is provably complete; the keys of the stack are checked to be
+    pairwise distinct after every closure, so a fault in the layering
+    raises RuntimeError instead of returning a wrong table.  mats[0] is
+    the identity.  Prime q only (matrices are numpy arrays mod p).
     """
     if V.field.e != 1:
         raise ValueError("enumeration requires prime q")
-    if V.N < 1:
-        raise ValueError("dimension must be >= 1")
     target = V.order_O()
     if target > budget:
         raise BudgetExceededError(f"|O(V)| = {target} exceeds budget {budget}")
     p = V.q
-    N = V.N
     if V.N == 1:
         mats = np.array([[[1]], [[p - 1]]], dtype=np.int64)
         return GroupTable(V, mats)
 
-    gen_stream = _candidate_reflection_vectors(V)
-    gens = []
-    for _ in range(2 * N + 2):
-        try:
-            gens.append(np.array(reflection(V, next(gen_stream)).matrix,
-                                 dtype=np.int64))
-        except StopIteration:
-            break
+    mats = np.eye(V.N, dtype=np.int64)[None]
+    keys = _matrix_keys(mats, p)            # sorted keys of the subgroup
+    gens = mats[:0]
+    stream = _candidate_reflection_vectors(V)
+    while len(mats) < target:
+        v = next(stream, None)
+        if v is None:
+            raise RuntimeError("ran out of reflections before closing")
+        g = np.array(reflection(V, v).matrix, dtype=np.int64)[None]
+        if _in_sorted(_matrix_keys(g, p), keys)[0]:
+            continue
+        gens = np.concatenate([gens, g])
+        mats = _extend_closure(mats, keys, gens, p, target)
+        keys = np.unique(_matrix_keys(mats, p))
+        if len(keys) != len(mats):
+            raise RuntimeError("closure repeated an element")
+    return GroupTable(V, mats)
 
-    def closure(generators):
-        eye = np.eye(N, dtype=np.int64)
-        seen = {eye.tobytes()}
-        mats = [eye]
-        frontier = eye[None, :, :]
-        gstack = np.stack(generators)
-        while len(frontier):
-            # frontier x generators in one shot
-            prod = np.einsum("fij,gjk->fgik", frontier, gstack) % p
-            prod = prod.reshape(-1, N, N)
-            new = []
-            for m in prod:
-                key = m.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    new.append(m)
-            if not new:
-                break
-            frontier = np.stack(new)
-            mats.extend(new)
-            if len(mats) > target:
-                raise RuntimeError("closure exceeded the group order")
-        return mats
 
-    while True:
-        mats = closure(gens)
-        if len(mats) == target:
-            break
-        # generated a proper subgroup: add more reflections
-        added = 0
-        while added < 4:
-            try:
-                v = next(gen_stream)
-            except StopIteration:
-                raise RuntimeError("ran out of reflections before closing")
-            gens.append(np.array(reflection(V, v).matrix, dtype=np.int64))
-            added += 1
-    return GroupTable(V, np.stack(mats))
+def _extend_closure(H: np.ndarray, H_keys: np.ndarray, gens: np.ndarray,
+                    p: int, target: int) -> np.ndarray:
+    """The group generated by H and gens, as H followed by the new
+    elements one layer at a time, each layer in first-occurrence order.
+    H must be closed under gens[:-1], and H_keys are its sorted keys."""
+    N = H.shape[-1]
+    layers = [H]
+    count = len(H)
+    prev_keys, last_keys = H_keys[:0], H_keys
+    frontier, step = H, gens[-1:]
+    while len(frontier) and count < target:
+        prod = frontier[:, None] @ step[None]
+        prod %= p
+        prod = prod.reshape(-1, N, N)
+        new_keys, first = np.unique(_matrix_keys(prod, p), return_index=True)
+        fresh = ~(_in_sorted(new_keys, prev_keys)
+                  | _in_sorted(new_keys, last_keys))
+        frontier = prod[np.sort(first[fresh])]
+        prev_keys, last_keys = last_keys, new_keys[fresh]
+        step = gens
+        count += len(frontier)
+        if count > target:
+            raise RuntimeError("closure exceeded the group order")
+        layers.append(frontier)
+    return np.concatenate(layers)
+
+
+def _matrix_keys(mats: np.ndarray, p: int) -> np.ndarray:
+    """Exact keys of a stack of matrices with entries in range(p): equal
+    keys iff equal matrices.  The base-p digits of each flattened matrix
+    are packed into int64 words; a key is one int64 when p^(N^2) <= 2^63
+    and otherwise the words viewed as one fixed-width np.void, which
+    sorts and compares just as well."""
+    n = mats.shape[-1] ** 2
+    words = mats.reshape(-1, n) @ _key_weights(p, n)
+    if words.shape[1] == 1:
+        return words[:, 0]
+    return np.ascontiguousarray(words).view(
+        np.dtype((np.void, 8 * words.shape[1])))[:, 0]
+
+
+@functools.lru_cache(maxsize=32)
+def _key_weights(p: int, n: int) -> np.ndarray:
+    """Read-only (n, words) int64 matrix: digit i goes to word i // k
+    with weight p^(i % k), for the largest k with p^k <= 2^63, so no
+    word exceeds p^k - 1 < 2^63."""
+    k = 1
+    while k < n and p ** (k + 1) <= 2 ** 63:
+        k += 1
+    weights = np.zeros((n, -(-n // k)), dtype=np.int64)
+    for i in range(n):
+        weights[i, i // k] = p ** (i % k)
+    weights.flags.writeable = False
+    return weights
+
+
+def _in_sorted(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """Boolean mask: which keys occur in the sorted array sorted_keys."""
+    if not len(sorted_keys):
+        return np.zeros(len(keys), dtype=bool)
+    idx = np.searchsorted(sorted_keys, keys)
+    idx[idx == len(sorted_keys)] = 0
+    return sorted_keys[idx] == keys
 
 
 # ---------------------------------------------------------------------------

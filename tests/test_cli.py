@@ -4,6 +4,10 @@ are byte-identical, and the schema validator accepts legacy envelopes
 with a migration warning."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -125,6 +129,29 @@ def test_count_irred_rejects_non_prime_powers(q):
     assert code == 1
     assert report["payload"]["error"].startswith("ValueError")
     assert report_schema_validate(report)
+
+
+@pytest.mark.parametrize("argv", [["orth-stats", "--q", "5", "--N", "0"],
+                                  ["orth-enum", "--q", "3", "--N", "-1"]])
+def test_orth_commands_reject_a_non_positive_dimension(argv):
+    code, report = dispatch(argv)
+    assert code == 1
+    assert report["payload"]["error"].startswith("ValueError")
+    assert report_schema_validate(report)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-m", "orthogal", "orth-enum",
+                           "--q", "3", "--N", "2"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["command"] == "orth-enum"
+    assert report["payload"]["order_matches"] is True
 
 
 @pytest.mark.parametrize("coset", ["2,square", "0,nonsquare"])

@@ -7,7 +7,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iter_product
+from itertools import islice, product as iter_product
 
 import numpy as np
 import pytest
@@ -72,6 +72,54 @@ def _table(q, N, disc):
     return enumerate_O(OrthSpace.canonical(get_field(q), N, disc))
 
 
+def _restarting_closure(V):
+    """O(V) as the enumeration computed it before the layered closure:
+    a closure from the identity over the first 2N + 2 candidate
+    reflections, restarted from scratch with 4 more reflections until
+    it reaches the order formula, with one bytes key per matrix.  The
+    oracle for enumerate_O."""
+    p, N = V.q, V.N
+    if N == 1:
+        return np.array([[[1]], [[p - 1]]], dtype=np.int64)
+    target = V.order_O()
+    stream = orthfin._candidate_reflection_vectors(V)
+    gens = [np.array(reflection(V, v).matrix, dtype=np.int64)
+            for v in islice(stream, 2 * N + 2)]
+
+    def closure(generators):
+        eye = np.eye(N, dtype=np.int64)
+        seen = {eye.tobytes()}
+        mats = [eye]
+        frontier = eye[None, :, :]
+        gstack = np.stack(generators)
+        while len(frontier):
+            prod = np.einsum("fij,gjk->fgik", frontier, gstack) % p
+            new = []
+            for m in prod.reshape(-1, N, N):
+                if m.tobytes() not in seen:
+                    seen.add(m.tobytes())
+                    new.append(m)
+            if not new:
+                break
+            frontier = np.stack(new)
+            mats.extend(new)
+        return mats
+
+    while True:
+        mats = closure(gens)
+        if len(mats) == target:
+            return np.stack(mats)
+        gens += [np.array(reflection(V, next(stream)).matrix, dtype=np.int64)
+                 for _ in range(4)]
+
+
+def _check_orthogonal(mats, V):
+    """A^T G A = G (mod p) for every matrix A of the stack at once."""
+    g = np.array(V.gram, dtype=np.int64)
+    forms = np.einsum("aji,j,ajk->aik", mats, g, mats) % V.q
+    assert (forms == np.diag(g)).all()
+
+
 # ---------------------------------------------------------------------------
 # Spaces
 # ---------------------------------------------------------------------------
@@ -86,6 +134,17 @@ def test_canonical_space_and_disc():
     assert W.gram[-1] == 2          # least nonsquare mod 5
     with pytest.raises(ValueError):
         OrthSpace(F, (1, 0, 1))
+
+
+@pytest.mark.parametrize("N", [0, -1, -4])
+def test_non_positive_dimension_is_rejected(N):
+    F = get_field(5)
+    with pytest.raises(ValueError):
+        OrthSpace.canonical(F, N, SQUARE)
+    with pytest.raises(ValueError):
+        OrthSpace.canonical(F, N, NONSQUARE)
+    with pytest.raises(ValueError):
+        OrthSpace(F, ())
 
 
 def test_is_split():
@@ -110,10 +169,7 @@ def test_order_formula_matches_enumeration(q, N, disc):
         pytest.skip("kept small here; the acceptance suite goes further")
     table = enumerate_O(V)
     assert len(table) == V.order_O()
-    # spot-check orthogonality of a sample of the enumerated matrices
-    rng = random.Random(0)
-    for idx in rng.sample(range(len(table)), min(25, len(table))):
-        OrthElem(table.mats[idx].tolist(), V, check=True)
+    _check_orthogonal(table.mats, V)
 
 
 def test_enumerate_budget_and_prime_restriction():
@@ -123,6 +179,78 @@ def test_enumerate_budget_and_prime_restriction():
     F9 = get_field(3, 2)
     with pytest.raises(ValueError):
         enumerate_O(OrthSpace.canonical(F9, 2, SQUARE))
+
+
+_SMALL_SPACES = [(q, N, disc) for q in (3, 5, 7) for N in (1, 2, 3, 4)
+                 for disc in (SQUARE, NONSQUARE)
+                 if OrthSpace.canonical(get_field(q), N, disc).order_O()
+                 <= 40000]
+
+
+@pytest.mark.parametrize("q,N,disc", _SMALL_SPACES + [
+    (101, 2, SQUARE), (101, 2, NONSQUARE), (1009, 2, SQUARE),
+    (1009, 2, NONSQUARE), (13, 3, SQUARE),
+    (55109, 2, SQUARE)])         # p^4 > 2^63: keys of two int64 words
+def test_enumeration_matches_the_restarting_closure(q, N, disc):
+    V = OrthSpace.canonical(get_field(q), N, disc)
+    mats = enumerate_O(V).mats
+    assert (mats[0] == np.eye(N, dtype=np.int64)).all()
+    rows = mats.reshape(len(mats), -1)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    assert (rows[1:] != rows[:-1]).any(axis=1).all()
+    want = _restarting_closure(V).reshape(len(mats), -1)
+    assert (rows == want[np.lexsort(want.T[::-1])]).all()
+    _check_orthogonal(mats, V)
+
+
+def _non_involution(V, v):
+    """r_{e_1} r_v: orthogonal, but not an involution unless r_v
+    commutes with r_{e_1}."""
+    e1 = (1,) + (0,) * (V.N - 1)
+    return reflection(V, e1) * reflection(V, v)
+
+
+@pytest.mark.parametrize("q,N", [(3, 2), (5, 2), (3, 3), (5, 3), (3, 4)])
+def test_enumeration_rejects_generators_that_are_not_involutions(
+        monkeypatch, q, N):
+    # the two-layer dedup is sound only for involutions; with other
+    # generators the closure repeats or misses elements, and it must
+    # raise instead of returning a table
+    monkeypatch.setattr(orthfin, "reflection", _non_involution)
+    with pytest.raises(RuntimeError):
+        enumerate_O(OrthSpace.canonical(get_field(q), N, SQUARE))
+
+
+@pytest.mark.parametrize("q,N,disc", [(5, 4, SQUARE), (3, 4, NONSQUARE),
+                                      (7, 3, SQUARE)])
+def test_every_generator_enlarges_the_subgroup(monkeypatch, q, N, disc):
+    # a reflection already in the subgroup is skipped, not added as a
+    # generator, so every closure step grows the group
+    close = orthfin._extend_closure
+    sizes = []
+
+    def record(H, H_keys, gens, p, target):
+        mats = close(H, H_keys, gens, p, target)
+        sizes.append((len(H), len(mats)))
+        return mats
+    monkeypatch.setattr(orthfin, "_extend_closure", record)
+    V = OrthSpace.canonical(get_field(q), N, disc)
+    assert len(enumerate_O(V)) == V.order_O()
+    assert all(before < after for before, after in sizes), sizes
+
+
+def test_enumeration_rejects_a_repeated_element(monkeypatch):
+    # a closure step whose stack holds one element twice is caught by
+    # the distinct-keys guard
+    close = orthfin._extend_closure
+
+    def repeat_last(H, H_keys, gens, p, target):
+        mats = close(H, H_keys, gens, p, target)
+        mats[-1] = mats[-2]
+        return mats
+    monkeypatch.setattr(orthfin, "_extend_closure", repeat_last)
+    with pytest.raises(RuntimeError, match="repeated"):
+        enumerate_O(OrthSpace.canonical(get_field(3), 3, SQUARE))
 
 
 # ---------------------------------------------------------------------------
