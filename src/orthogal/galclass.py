@@ -16,12 +16,20 @@ which classes any prime can show (recpoly._reachable_classes).  So does
 the factorization of the trace form h over Q: a reducible h never shows
 class 1, and each rational factor h_i splits mod l on its own.  h is
 factored (poly._factor_over_z) only when the first block of primes
-shows no class 1 while the discriminants allow it.  The scan stops once
-every wanted class has a witness or, when a wanted class is ruled out,
-once every reachable class has one; either way the certificate is that
-of a scan of the whole budget.  Primes are factored in growing blocks
-(32, 224, then doubling up to 2048 rows), so an early certificate
-factors few primes.
+shows no class 1 while the discriminants allow it.  For n = 4 an
+irreducible h whose resolvent cubic has a rational root has Gal(h)
+inside a D4, which has no 3-cycle, so class 2 is ruled out too.  The
+scan stops once every wanted class has a witness or, when a wanted class
+is ruled out, once every reachable class has one; either way the
+certificate is that of a scan of the whole budget.  Primes are factored
+in growing blocks (32, 224, then doubling up to 2048 rows), so an early
+certificate factors few primes.
+
+Each block is one kernel pass over the rows of f mod l: the Frobenius
+chain x^(l^k) mod f gives the factor degrees of f, and the same chain
+started at y = x + 1/x gives those of h, since F_l[x]/(f) is free of
+rank 2 over F_l[y]/(h).  The kernel runs on int64 arrays, every prime of
+a block at once (see the notes above _max_kernel_prime).
 
 The companion validator compares the joint factorization statistics of
 (h mod l, f mod l) over many primes against the exact conjugacy-class
@@ -37,6 +45,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import NotSeparableError
 from .poly import Poly, discriminant, _factor_over_z
@@ -74,19 +83,39 @@ def primes_up_to(bound: int):
 # A good row is squarefree mod l, so deg g_k = sum_{j | k} j n_j, where
 # n_j counts the irreducible factors of degree j; the levels need no
 # division by the factors already found.
-
+#
+# The same chain factors the trace form h of a lift f = T^n h(T + 1/T).
+# With y = x + x^(-1), F_l[x]/(f) = B[x]/(x^2 - y x + 1) is free of rank
+# 2 over B = F_l[y]/(h), so a quotient by an element b of B has twice
+# the dimension of B/(b): deg gcd(z, f) = 2 deg gcd(b, h) for z = b
+# written in x.  Frobenius is a ring map, so b = y^(l^k) - y is the
+# chain started at y, less y; and x^(-1) = -(c_1 + c_2 x + ... +
+# x^(2n-1)) mod f because f(0) = 1.  The levels of f and of h then go
+# through the same batched Euclid, as many levels per call as fit in
+# BLOCK_ROWS rows (_level_gcd_degrees): one call for a small block.
+#
+# Each square of the chain is one product by the Toeplitz matrix of a
+# factor (_mulmod) and one reduction low + high @ R by the per-block
+# table R of x^d, ..., x^(2d-2) mod f; the Frobenius matrix x^(i l) mod f
+# is built by doubling.
 
 # Overflow: inputs stay reduced into [0, l) for their row prime l, and
-# every int64 accumulation sums at most d products of two such values
-# before the next reduction (d = deg f; Frobenius rows hold d coefficients):
-#   * _vec_polymul: an output coefficient sums <= d products;
-#   * _vec_polymod: a coefficient is lowered by <= d products c * F[j];
-#   * the einsum: each entry sums d products;
+# every int64 sum before the next reduction is bounded as follows
+# (d = deg f >= 2 wherever a chain is run; rows hold d coefficients):
+#   * _mulmod's product: a coefficient of a b sums at most d non-zero
+#     products of reduced values, <= d (l - 1)^2;
+#   * _mulmod's reduction low + high @ R: one reduced value plus d - 1
+#     products, <= (l - 1) + (d - 1) (l - 1)^2;
+#   * _mulx (x a mod f, the table R and the multiply step): a shifted
+#     reduced value plus one product, <= (l - 1) + (l - 1)^2;
+#   * the start y = x + x^(-1): two reduced values, <= 2 (l - 1);
+#   * the chain step s @ M: d products, <= d (l - 1)^2;
 #   * _vec_powmod and the Euclid step lc(b) a - lc(a) x^s b: one product,
 #     or the difference of two, of reduced values, at most (l - 1)^2.
-# So every intermediate is bounded in size by d (l - 1)^2, and the
-# kernel is exact when d (l - 1)^2 < 2^63; batch_factor_degrees refuses
-# larger primes.
+# As l - 1 <= (l - 1)^2 and d >= 2, each is at most d (l - 1)^2, and the
+# kernel is exact when d (l - 1)^2 < 2^63; its callers refuse larger
+# primes (_check_kernel_prime).  The trace-form census of orthfin forms
+# f = H B with n + 1 <= d products per coefficient, within the same bound.
 
 
 # Most rows the kernel takes in one call where the caller chooses the
@@ -108,28 +137,6 @@ def _check_kernel_prime(d: int, largest: int):
                          f"int64 kernel at degree {d}")
 
 
-def _vec_polymul(A, B, m):
-    """Row-wise product of polynomial coefficient matrices mod m."""
-    P, da = A.shape
-    db = B.shape[1]
-    out = np.zeros((P, da + db - 1), dtype=np.int64)
-    for i in range(da):
-        out[:, i:i + db] += A[:, i:i + 1] * B
-    out %= m[:, None]
-    return out
-
-
-def _vec_polymod(A, F, m):
-    """Row-wise remainder of A modulo the monic row polynomials F."""
-    d = F.shape[1] - 1
-    A = A.copy()
-    for i in range(A.shape[1] - 1, d - 1, -1):
-        c = A[:, i] % m
-        A[:, i - d:i] -= c[:, None] * F[:, :d]
-    out = A[:, :max(d, 1)] % m[:, None]
-    return out
-
-
 def _vec_powmod(a, e, m):
     """a^e mod m entrywise (a reduced into [0, m), e >= 0)."""
     out = np.ones_like(a)
@@ -141,40 +148,83 @@ def _vec_powmod(a, e, m):
     return out
 
 
-def _batch_frobenius_chains(C, primes, kmax):
-    """x^(l^k) mod f for k = 1..kmax, all rows at once.
+def _mulx(a, R0, m):
+    """x a mod f for rows a (..., P, d), given R0 = x^d mod f (P, d)."""
+    out = a[..., -1:] * R0
+    out[..., 1:] += a[..., :-1]
+    out %= m[:, None]
+    return out
 
-    C: (P, d+1) monic row polynomials; returns (kmax, P, d).
+
+def _reduction_table(C, m):
+    """(P, d - 1, d): row i is x^(d + i) mod f, for the monic rows C
+    (P, d + 1) with d >= 2."""
+    P, d = C.shape[0], C.shape[1] - 1
+    R = np.empty((P, d - 1, d), dtype=np.int64)
+    R[:, 0] = -C[:, :d] % m[:, None]
+    for i in range(1, d - 1):
+        R[:, i] = _mulx(R[:, i - 1], R[:, 0], m)
+    return R
+
+
+def _mulmod(a, b, R, m):
+    """a b mod f for reduced rows a (..., P, d) and b (P, d); R from
+    _reduction_table.
+
+    The product is one einsum of a with the Toeplitz matrix of b,
+    T[i, c] = b[c - i] (zero unless 0 <= c - i < d): a strided view of
+    b padded with d - 1 zeros on each side, read with stride -1 along i.
+    Its top d - 1 coefficients are then reduced by one einsum with R."""
+    d = b.shape[-1]
+    pad = np.zeros((len(b), 3 * d - 2), dtype=np.int64)
+    pad[:, d - 1:2 * d - 1] = b
+    mid = pad[:, d - 1:]
+    step = pad.itemsize
+    T = as_strided(mid, (len(b), d, 2 * d - 1), (pad.strides[0], -step, step),
+                   writeable=False)
+    prod = np.einsum("...pi,pic->...pc", a, T) % m[:, None]
+    out = prod[..., :d] + np.einsum("...pi,pij->...pj", prod[..., d:], R)
+    out %= m[:, None]
+    return out
+
+
+def _batch_frobenius_chains(C, primes, kmax, V):
+    """V^(l^k) mod f for k = 1..kmax, every start row and prime at once.
+
+    C: (P, d+1) monic row polynomials with d >= 2; V: (S, P, d) start
+    rows reduced mod the row primes.  Returns (kmax, S, P, d).
     """
     P, dp1 = C.shape
     d = dp1 - 1
     m = primes
-    # r = x^l mod f by square-and-multiply over the bits of each row's l
+    R = _reduction_table(C, m)
+    # r = x^l mod f by square-and-multiply over the bits of each row's l,
+    # from r = x^(l >> top), which is x or 1
+    top = int(primes.max()).bit_length() - 1
     r = np.zeros((P, d), dtype=np.int64)
-    r[:, 0] = 1
-    maxbits = int(primes.max()).bit_length()
-    for k in range(maxbits - 1, -1, -1):
-        r = _vec_polymod(_vec_polymul(r, r, m), C, m)
-        bit = ((primes >> k) & 1).astype(bool)
+    r[:, 1] = primes >> top
+    r[:, 0] = 1 - r[:, 1]
+    for k in range(top - 1, -1, -1):
+        r = _mulmod(r, r, R, m)
+        bit = (primes >> k) & 1 == 1
         if bit.any():
-            shifted = np.zeros((P, d + 1), dtype=np.int64)
-            shifted[:, 1:] = r
-            shifted = _vec_polymod(shifted, C, m)
-            r = np.where(bit[:, None], shifted, r)
-    # matrix of the Frobenius endomorphism: row i is x^(i*l) mod f
-    mat = np.zeros((d, P, d), dtype=np.int64)
-    mat[0, :, 0] = 1
-    if d > 1:
-        mat[1] = r
-    for i in range(2, d):
-        mat[i] = _vec_polymod(_vec_polymul(mat[i - 1], r, m), C, m)
+            r = np.where(bit[:, None], _mulx(r, R[:, 0], m), r)
+    # the Frobenius matrix, M[i] = x^(i l) mod f, by doubling:
+    # M[b+1..2b] = M[1..b] x^(b l)
+    M = np.zeros((d, P, d), dtype=np.int64)
+    M[0, :, 0] = 1
+    M[1] = r
+    b = 1
+    while b + 1 < d:
+        end = min(2 * b + 1, d)
+        M[b + 1:end] = _mulmod(M[1:end - b], M[b], R, m)
+        b *= 2
     # chains: s_{k+1} = Frobenius(s_k), linear in the coefficients
-    out = np.zeros((kmax, P, d), dtype=np.int64)
-    s = r
+    out = np.empty((kmax,) + V.shape, dtype=np.int64)
+    s = V
     for k in range(kmax):
+        s = np.einsum("...pi,ipj->...pj", s, M) % m[:, None]
         out[k] = s
-        if k + 1 < kmax:
-            s = np.einsum("pi,ipj->pj", s, mat) % m[:, None]
     return out
 
 
@@ -266,6 +316,67 @@ def _reduce_rows(int_coeffs, primes):
     return cs[None, :] % primes[:, None]
 
 
+def _degrees_from_levels(g, d):
+    """Sorted factor degree tuple of each squarefree row of degree d,
+    from its level degrees g[k - 1] = deg gcd(x^(l^k) - x, f), k <= d/2
+    (g: (d // 2, R))."""
+    kmax = d // 2
+    # n[k] = number of irreducible factors of degree k, for k <= d/2
+    n = np.zeros((kmax + 1, g.shape[1]), dtype=np.int64)
+    for k in range(1, kmax + 1):
+        below = sum(j * n[j] for j in range(1, k) if k % j == 0)
+        n[k], inexact = np.divmod(g[k - 1] - below, k)
+        if inexact.any() or (n[k] < 0).any():
+            raise ArithmeticError(f"gcd degrees at level {k} do not "
+                                  "fit a squarefree factorization")
+    # the rest is one irreducible factor of degree > d/2, if any
+    rest = d - (np.arange(kmax + 1)[:, None] * n).sum(axis=0)
+    if ((rest < 0) | ((rest > 0) & (rest <= kmax))).any():
+        raise ArithmeticError("factor degrees do not add up to the degree")
+    n[0] = rest                 # the key layout of _degree_tuple
+    return [_degree_tuple(counts) for counts in map(tuple, n.T.tolist())]
+
+
+@functools.lru_cache(maxsize=1024)
+def _degree_tuple(counts: tuple) -> tuple:
+    """Sorted factor degrees from (rest, n_1, n_2, ...): n_k factors of
+    degree k, and one of degree rest when rest > 0."""
+    degs = [k for k, nk in enumerate(counts[1:], 1) for _ in range(nk)]
+    return tuple(degs + [counts[0]] if counts[0] else degs)
+
+
+def _level_gcd_degrees(A, C, m):
+    """deg gcd(A[k], f) for every level k and row f of C: (K, R), from
+    batched Euclids over the K R pairs (A: (K, R, d), reduced in place).
+    Each Euclid takes as many whole levels as fit in BLOCK_ROWS rows (at
+    least one), so a small block needs one call and a large one bounded
+    buffers."""
+    K, R, d = A.shape
+    A %= m[:, None]
+    out = np.empty((K, R), dtype=np.int64)
+    step = max(1, BLOCK_ROWS // R)
+    for k in range(0, K, step):
+        L = min(step, K - k)
+        out[k:k + L] = _batch_gcd_degrees(
+            A[k:k + L].reshape(L * R, d), np.tile(C, (L, 1)),
+            np.tile(m, L)).reshape(L, R)
+    return out
+
+
+def _x_rows(R, d):
+    """The polynomial x as R rows of d >= 2 coefficients."""
+    x = np.zeros((R, d), dtype=np.int64)
+    x[:, 1] = 1
+    return x
+
+
+def _monic_reductions(int_coeffs, m):
+    """(R, d+1) rows: the polynomial mod each row's prime m, made monic
+    by lc^(m - 2), the inverse of lc; no m may divide lc."""
+    C = _reduce_rows(int_coeffs, m)
+    return C * _vec_powmod(C[:, -1], m - 2, m)[:, None] % m[:, None]
+
+
 def _factor_degree_rows(C, m):
     """Sorted factor degree tuple of each row of C over F_m for its row's
     prime m.
@@ -273,36 +384,72 @@ def _factor_degree_rows(C, m):
     C: (R, d+1) monic rows with d >= 1, reduced into [0, m) and
     squarefree mod m (a row that is not raises ArithmeticError or gives
     wrong degrees); the caller checks that the primes fit the overflow
-    bound.  One Frobenius chain and one batched Euclid serve every row.
+    bound.  One Frobenius chain and the batched Euclid
+    (_level_gcd_degrees) serve every row.
     """
-    R, dp1 = C.shape
-    d = dp1 - 1
-    kmax = d // 2
-    # n[k] = number of irreducible factors of degree k, for k <= d/2
-    n = np.zeros((kmax + 1, R), dtype=np.int64)
-    if kmax >= 1 and R:
-        chains = _batch_frobenius_chains(C, m, kmax)
-        chains[:, :, 1] = (chains[:, :, 1] - 1) % m   # x^(l^k) - x
-        g = _batch_gcd_degrees(chains.reshape(kmax * R, d),
-                               np.tile(C, (kmax, 1)),
-                               np.tile(m, kmax)).reshape(kmax, R)
-        for k in range(1, kmax + 1):
-            below = sum(j * n[j] for j in range(1, k) if k % j == 0)
-            n[k], inexact = np.divmod(g[k - 1] - below, k)
-            if inexact.any() or (n[k] < 0).any():
-                raise ArithmeticError(f"gcd degrees at level {k} do not "
-                                      "fit a squarefree factorization")
-    # the rest is one irreducible factor of degree > d/2, if any
-    rest = d - (np.arange(kmax + 1)[:, None] * n).sum(axis=0)
-    if ((rest < 0) | ((rest > 0) & (rest <= kmax))).any():
-        raise ArithmeticError("factor degrees do not add up to the degree")
-    out = []
-    for counts, r in zip(n[1:].T.tolist(), rest.tolist()):
-        degs = [k for k, nk in enumerate(counts, 1) for _ in range(nk)]
-        if r:
-            degs.append(r)
-        out.append(tuple(degs))
-    return out
+    R, d = C.shape[0], C.shape[1] - 1
+    g = np.zeros((d // 2, R), dtype=np.int64)
+    if d >= 2 and R:
+        x = _x_rows(R, d)
+        chains = _batch_frobenius_chains(C, m, d // 2, x[None])
+        g = _level_gcd_degrees(chains[:, 0] - x, C, m)
+    return _degrees_from_levels(g, d)
+
+
+def _lift_degree_rows(C, m):
+    """(degrees of f, degrees of h) for each row f = T^n h(T + 1/T) of C,
+    each a sorted factor degree tuple over F_m for the row's prime m.
+
+    C: (R, 2n+1) monic rows with n >= 1 and constant coefficient 1,
+    reduced into [0, m) and squarefree mod m (then h is squarefree too,
+    as disc f = (-1)^n h(2) h(-2) disc(h)^2); the caller checks the
+    overflow bound.  One Frobenius chain, started at x and at y = x +
+    x^(-1), gives the n levels of f and the n // 2 levels of h, and the
+    batched Euclid against f takes them all (_level_gcd_degrees); a
+    level of h has half the degree found (see the note above
+    _max_kernel_prime).
+    """
+    R, d = C.shape[0], C.shape[1] - 1
+    n = d // 2
+    if not R:
+        return []
+    x = _x_rows(R, d)
+    starts = [x]
+    if n >= 2:                 # h of degree 1 has no levels
+        y = -C[:, 1:] % m[:, None]        # x^(-1)
+        y[:, 1] += 1
+        starts.append(y % m[:, None])
+    chains = _batch_frobenius_chains(C, m, n, np.stack(starts))
+    levels = [chains[:, 0] - x]
+    if n >= 2:
+        levels.append(chains[:n // 2, 1] - starts[1])
+    del chains                  # not held through the Euclid's buffers
+    g = _level_gcd_degrees(np.concatenate(levels), C, m)
+    gh, odd = np.divmod(g[n:], 2)
+    if odd.any():
+        raise ArithmeticError("a level of h has odd degree in f")
+    return list(zip(_degrees_from_levels(g[:n], d),
+                    _degrees_from_levels(gh, n)))
+
+
+def _good_monic_rows(int_coeffs, primes):
+    """(indices of the good primes, the monic reductions there as (R,
+    d+1) rows, those primes) for one integer polynomial.
+
+    A prime is good when it divides neither the leading coefficient nor
+    the discriminant.  Raises ValueError when a prime is too large for
+    exact int64 arithmetic at this degree."""
+    int_coeffs = tuple(int(c) for c in int_coeffs)
+    d = len(int_coeffs) - 1
+    if d < 1:
+        raise ValueError("need positive degree")
+    if len(primes):
+        _check_kernel_prime(d, max(int(ell) for ell in primes))
+    primes = np.asarray(primes, dtype=np.int64)
+    bad = _degenerate_numerator(int_coeffs)
+    gidx = np.nonzero(bad % primes.astype(object))[0]
+    m = primes[gidx]
+    return gidx.tolist(), _monic_reductions(int_coeffs, m), m
 
 
 def batch_factor_degrees(int_coeffs, primes):
@@ -315,24 +462,26 @@ def batch_factor_degrees(int_coeffs, primes):
     too large for exact int64 arithmetic at this degree.  The good
     reductions, one row per prime, go through _factor_degree_rows.
     """
-    int_coeffs = tuple(int(c) for c in int_coeffs)
-    d = len(int_coeffs) - 1
-    if d < 1:
-        raise ValueError("need positive degree")
-    if len(primes):
-        _check_kernel_prime(d, max(int(ell) for ell in primes))
-    primes = np.asarray(primes, dtype=np.int64)
+    gidx, C, m = _good_monic_rows(int_coeffs, primes)
     results: list = [None] * len(primes)
-    bad = _degenerate_numerator(int_coeffs)
-    gidx = np.nonzero(bad % primes.astype(object))[0]
-    if len(gidx) == 0:
-        return results
-    m = primes[gidx]
-    # monic reductions: multiply by lc^(l - 2), the inverse of lc mod l
-    C = _reduce_rows(int_coeffs, m)
-    C = C * _vec_powmod(C[:, -1], m - 2, m)[:, None] % m[:, None]
-    for idx, degs in zip(gidx.tolist(), _factor_degree_rows(C, m)):
+    for idx, degs in zip(gidx, _factor_degree_rows(C, m)):
         results[idx] = degs
+    return results
+
+
+def _batch_lift_degrees(int_f, primes):
+    """(degrees of f, degrees of h) mod each prime for an integer lift
+    f = c T^n h(T + 1/T), in one pass of _lift_degree_rows.
+
+    Returns a list parallel to primes, with (None, None) where f mod l
+    is degenerate.  Where it is not, l divides neither c nor disc(f) =
+    (-1)^n h(2) h(-2) disc(h)^2 (over the monic reductions), so h mod l
+    keeps its degree and is squarefree too.
+    """
+    gidx, C, m = _good_monic_rows(int_f, primes)
+    results: list = [(None, None)] * len(primes)
+    for idx, pair in zip(gidx, _lift_degree_rows(C, m)):
+        results[idx] = pair
     return results
 
 
@@ -475,6 +624,28 @@ def _rational_parts(int_f, int_h, rows) -> tuple:
     return tuple(sorted(parts))
 
 
+def _resolvent_has_root(int_h, primes) -> bool:
+    """Whether the resolvent cubic of a separable quartic h has a
+    rational root, given primes where h mod l is squarefree and keeps
+    its degree.
+
+    For h / lc(h) = x^4 + a x^3 + b x^2 + c x + d the resolvent is
+    y^3 - b y^2 + (ac - 4d) y - (a^2 d - 4bd + c^2), with the roots
+    r1 r2 + r3 r4, r1 r3 + r2 r4 and r1 r4 + r2 r3.  An irreducible h
+    has Gal(h) inside a D4, and so no 3-cycle, exactly when the
+    resolvent has a rational root.  It has the discriminant of h, and
+    its denominators divide lc(h)^3, so it is good at the given primes;
+    it is factored over Z by _factor_over_z from its patterns there.
+    """
+    d, c, b, a = (Fraction(v, int_h[4]) for v in int_h[:4])
+    res = [-(a * a * d - 4 * b * d + c * c), a * c - 4 * d, -b, Fraction(1)]
+    den = math.lcm(*(v.denominator for v in res))
+    res = [int(v * den) for v in res]
+    m = np.array(primes, dtype=np.int64)
+    degs = _factor_degree_rows(_monic_reductions(res, m), m)
+    return len(_factor_over_z(res, list(zip(primes, degs)))) > 1
+
+
 @dataclass
 class GaloisCertificate:
     input_coeffs: list
@@ -508,8 +679,12 @@ def classify(P: Poly, prime_budget: int = 10 ** 4) -> GaloisCertificate:
     disc(f) rules out class 6).  When the first block shows no class 1
     and the discriminants allow it, h is factored over Q: with h
     reducible no prime shows class 1, and the patterns mod l refine the
-    degrees of the rational factors.  The scan stops at the first prime
-    where every wanted class has a witness; when a wanted class is
+    degrees of the rational factors.  For n = 4, once h is known to be
+    irreducible (a class-1 witness or its factorization), a rational
+    root of its resolvent cubic rules out class 2.  Each block factors f
+    and h mod l in one kernel pass (_batch_lift_degrees); a prime where
+    f is good has h good too.  The scan stops at the first prime where
+    every wanted class has a witness; when a wanted class is
     ruled out, it stops once every class still reachable has one, so
     the witnesses equal those of a scan of the whole budget.  A witness
     of a ruled-out class raises ArithmeticError.  The primes are
@@ -563,15 +738,27 @@ def classify(P: Poly, prime_budget: int = 10 ** 4) -> GaloisCertificate:
     wanted = needed if even_plus else needed | {6}
     primes = primes_up_to(prime_budget)
     for index, block in enumerate(_prime_blocks(primes[primes > 2], bad_num)):
-        if index == 1 and 1 in reachable and 1 not in witnesses:
-            # No class 1 in the first block: factor h over Q.  With h
-            # reducible no prime shows class 1, and each h_i mod l
-            # refines deg h_i.
-            reachable = _reachable_classes(
-                n, *flags, _rational_parts(int_f, int_h, rows))
+        if index == 1:
+            irreducible = 1 in witnesses
+            if 1 in reachable and not irreducible:
+                # No class 1 in the first block: factor h over Q.  With
+                # h reducible no prime shows class 1, and each h_i mod l
+                # refines deg h_i.
+                parts = _rational_parts(int_f, int_h, rows)
+                reachable = _reachable_classes(n, *flags, parts)
+                irreducible = len(parts) == 1
+            if (n == 4 and irreducible and 2 in reachable
+                    and 2 not in witnesses
+                    and _resolvent_has_root(
+                        int_h, [ell for ell, ft, _ in rows
+                                if ft is not None])):
+                # Gal(h) lies in a D4, which has no 3-cycle, so no prime
+                # shows the [1, 3] pattern of h that class 2 needs
+                reachable -= {2}
             if not witnesses.keys() <= reachable:
                 raise ArithmeticError("a witness of a class that the "
-                                      "factorization of h rules out")
+                                      "factors of h or its resolvent "
+                                      "rule out")
         # With a wanted class out of reach the certificate stays
         # Inconclusive whatever the budget; the scan then only has to
         # record the first witness of every class that can still appear,
@@ -579,10 +766,10 @@ def classify(P: Poly, prime_budget: int = 10 ** 4) -> GaloisCertificate:
         goal = wanted if wanted <= reachable else reachable
         if goal <= witnesses.keys():
             break
-        rows = list(zip(block.tolist(), batch_factor_degrees(int_f, block),
-                        batch_factor_degrees(int_h, block)))
+        rows = [(ell, ft, ht) for ell, (ft, ht) in
+                zip(block.tolist(), _batch_lift_degrees(int_f, block))]
         for ell, ft, ht in rows:
-            if ft is None or ht is None or len(ft) > 8:
+            if ft is None or len(ft) > 8:
                 continue
             for i in classes_from_degrees(ht, ft):
                 if i not in reachable:
@@ -653,21 +840,19 @@ def chebotarev_validate(f: Poly, claimed: WGroup, prime_bound: int = 10 ** 5,
     _check_kernel_prime(2 * n, prime_bound)   # before the sieve allocates
     h = to_trace_form(fm).h
     int_f, den_f = _clear_denominators(fm)
-    int_h, den_h = _clear_denominators(h)
+    _, den_h = _clear_denominators(h)
     primes = primes_up_to(prime_bound)
     primes = primes[primes > 2]
     ok = np.array([den_f % int(l) != 0 and den_h % int(l) != 0
                    for l in primes])
     primes = primes[ok]
-    ftypes = batch_factor_degrees(int_f, primes)
-    htypes = batch_factor_degrees(int_h, primes)
-    counts = Counter()
-    used = 0
-    for ft, ht in zip(ftypes, htypes):
-        if ft is None or ht is None:
-            continue
-        counts[(ft, ht)] += 1
-        used += 1
+    # one kernel pass per block of BLOCK_ROWS primes bounds its arrays
+    counts = Counter(
+        pair for start in range(0, len(primes), BLOCK_ROWS)
+        for pair in _batch_lift_degrees(int_f,
+                                        primes[start:start + BLOCK_ROWS])
+        if pair[0] is not None)
+    used = sum(counts.values())
     if used < 100:
         raise ValueError(f"only {used} good primes below {prime_bound}")
     predicted = Counter()

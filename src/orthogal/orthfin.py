@@ -59,7 +59,7 @@ import numpy as np
 from .errors import BudgetExceededError, NotSeparableError
 from .ffield import Fq, get_field, SquareClass, SQUARE, NONSQUARE, ZERO_CLASS
 from .galclass import (BLOCK_ROWS, _batch_gcd_degrees, _check_kernel_prime,
-                       _factor_degree_rows, _vec_powmod)
+                       _lift_degree_rows, _vec_powmod)
 from .poly import Poly, factor_degrees
 from .recpoly import (to_trace_form, trace_lift, reciprocal_sign, in_P_n,
                       classes_from_degrees)
@@ -756,7 +756,8 @@ def _prime_census_rows(H: np.ndarray, p: int) -> list:
     Squarefree means gcd(h, h') = 1, by the batched Euclid; f(1) = h(2)
     and f(-1) = (-1)^n h(-2) come by Horner's rule, their square
     classes by Euler's criterion, and f = H B mod p for the binomial
-    matrix B of T^(n-k) (T^2 + 1)^k.  h and f go through the row kernel.
+    matrix B of T^(n-k) (T^2 + 1)^k.  f goes through the one-pass row
+    kernel, which factors h along with it.
     """
     n = H.shape[1] - 1
     _check_kernel_prime(2 * n, p)
@@ -765,10 +766,10 @@ def _prime_census_rows(H: np.ndarray, p: int) -> list:
     good = ((_batch_gcd_degrees(H, H[:, 1:] * np.arange(1, n + 1) % p, m) == 0)
             & (h2 != 0) & (hm2 != 0))
     H, m = H[good], m[good]
-    rows = zip(_factor_degree_rows(H, m),
-               _factor_degree_rows(H @ _lift_matrix(n, p) % p, m),
-               _euler_classes(h2[good], p),
-               _euler_classes((-1) ** n * hm2[good] % p, p))
+    rows = ((hdeg, fdeg, f1, fm1) for (fdeg, hdeg), f1, fm1 in zip(
+        _lift_degree_rows(H @ _lift_matrix(n, p) % p, m),
+        _euler_classes(h2[good], p),
+        _euler_classes((-1) ** n * hm2[good] % p, p)))
     return [next(rows) if g else None for g in good.tolist()]
 
 

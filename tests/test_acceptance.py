@@ -21,6 +21,7 @@ from orthogal.poly import (Poly, discriminant, factor_degrees,
                            is_irreducible)
 from orthogal.recpoly import (trace_lift, to_trace_form, disc_identity,
                               count_irreducible_classes)
+from orthogal import orthfin
 from orthogal.orthfin import (OrthSpace, CosetLabel, enumerate_O,
                               class_proportion)
 from orthogal.signedperm import (invariants, enumerate_W,
@@ -195,13 +196,53 @@ def test_discriminant_identity_random_instances(n):
         assert lhs == rhs == cross
 
 
-def _dichotomy_holds(F, h):
+def _dichotomy_holds(F, h, degs=None):
+    """The lift of an irreducible h is irreducible of degree 2n when
+    h(2) h(-2) is a non-square and splits as [n, n] otherwise; degs are
+    the factor degrees of the lift, factored here when not given."""
     n = h.degree
     e = F.square_class(F.mul(h.eval_int(2), h.eval_int(-2)))
-    degs = factor_degrees(trace_lift(h))
+    if degs is None:
+        degs = factor_degrees(trace_lift(h))
     if e == NONSQUARE:
-        return degs == [2 * n]
-    return degs == [n, n]
+        return list(degs) == [2 * n]
+    return list(degs) == [n, n]
+
+
+def _irreducible_lifts(F, n):
+    """(h, factor degrees of its lift) for every irreducible monic h of
+    degree n over the prime field F.  The degrees of h and of its lift
+    come from orthfin's batched census rows (one kernel pass over every
+    h in P_n); a row outside P_n has a root at +-2 or a repeated factor,
+    so it is reducible unless n = 1, where h = T -+ 2 is factored by
+    Poly arithmetic."""
+    H = np.array([list(h.coeffs) for h in _monic_polys(F, n)],
+                 dtype=np.int64)
+    for row, census in zip(H.tolist(), orthfin._prime_census_rows(H, F.p)):
+        if census is not None:
+            hdeg, fdeg = census[:2]
+            if hdeg == (n,):
+                yield Poly(row, F), fdeg
+        elif n == 1:
+            h = Poly(row, F)
+            yield h, factor_degrees(trace_lift(h))
+
+
+def _irreducible_count(q, n):
+    """Number of monic irreducible polynomials of degree n over F_q."""
+    def mobius(k):
+        out, p = 1, 2
+        while p * p <= k:
+            if k % p == 0:
+                k //= p
+                if k % p == 0:
+                    return 0
+                out = -out
+            p += 1
+        return -out if k > 1 else out
+
+    return sum(mobius(k) * q ** (n // k) for k in range(1, n + 1)
+               if n % k == 0) // n
 
 
 def test_lift_dichotomy_for_irreducible_trace_forms():
@@ -211,11 +252,16 @@ def test_lift_dichotomy_for_irreducible_trace_forms():
         F = get_field(q if e == 1 else 3, e)
         for n in range(1, 7):
             if F.q ** n <= 20000:
-                # exhaustive over all monic polynomials of degree n
-                for h in _monic_polys(F, n):
-                    if not is_irreducible(h):
-                        continue
-                    assert _dichotomy_holds(F, h), (F.q, list(h.coeffs))
+                # exhaustive over all monic polynomials of degree n; over
+                # a prime field by the batched kernel, over F_9 by Poly
+                if e == 1:
+                    lifts = list(_irreducible_lifts(F, n))
+                    assert len(lifts) == _irreducible_count(F.q, n)
+                else:
+                    lifts = [(h, None) for h in _monic_polys(F, n)
+                             if is_irreducible(h)]
+                for h, degs in lifts:
+                    assert _dichotomy_holds(F, h, degs), (F.q, list(h.coeffs))
             else:
                 found = 0
                 while found < 30:

@@ -14,8 +14,9 @@ from orthogal import galclass, lfunc
 from orthogal.errors import (BudgetExceededError, NotReciprocalError,
                              NotSeparableError)
 from orthogal.ffield import get_field, _is_prime
-from orthogal.poly import Poly, discriminant, factor_degrees, is_irreducible
-from orthogal.recpoly import trace_lift
+from orthogal.poly import (Poly, discriminant, factor_degrees, is_irreducible,
+                           _factor_over_z, _pow_mod)
+from orthogal.recpoly import trace_lift, to_trace_form
 from orthogal.galclass import (primes_up_to, batch_factor_degrees,
                                is_perfect_square, _squarefree_part,
                                KField, compute_K, group_constraint, classify,
@@ -162,6 +163,228 @@ def test_batch_factor_degrees_exact_or_refuses_large_primes():
         except ValueError:
             continue
         _assert_matches_single_prime(coeffs, above, results)
+
+
+# ---------------------------------------------------------------------------
+# One kernel pass over f and its trace form h
+# ---------------------------------------------------------------------------
+
+
+def _vec_polymul(A, B, m):
+    """Row-wise product of polynomial coefficient matrices mod m."""
+    P, da = A.shape
+    db = B.shape[1]
+    out = np.zeros((P, da + db - 1), dtype=np.int64)
+    for i in range(da):
+        out[:, i:i + db] += A[:, i:i + 1] * B
+    out %= m[:, None]
+    return out
+
+
+def _vec_polymod(A, F, m):
+    """Row-wise remainder of A modulo the monic row polynomials F."""
+    d = F.shape[1] - 1
+    A = A.copy()
+    for i in range(A.shape[1] - 1, d - 1, -1):
+        c = A[:, i] % m
+        A[:, i - d:i] -= c[:, None] * F[:, :d]
+    return A[:, :max(d, 1)] % m[:, None]
+
+
+def _frobenius_chains_oracle(C, primes, kmax):
+    """x^(l^k) mod f for k = 1..kmax as (kmax, P, d): the former body of
+    _batch_frobenius_chains, which multiplied column by column and
+    reduced one coefficient at a time (about 3d numpy calls per bit)."""
+    P, dp1 = C.shape
+    d = dp1 - 1
+    m = primes
+    r = np.zeros((P, d), dtype=np.int64)
+    r[:, 0] = 1
+    maxbits = int(primes.max()).bit_length()
+    for k in range(maxbits - 1, -1, -1):
+        r = _vec_polymod(_vec_polymul(r, r, m), C, m)
+        bit = ((primes >> k) & 1).astype(bool)
+        if bit.any():
+            shifted = np.zeros((P, d + 1), dtype=np.int64)
+            shifted[:, 1:] = r
+            shifted = _vec_polymod(shifted, C, m)
+            r = np.where(bit[:, None], shifted, r)
+    mat = np.zeros((d, P, d), dtype=np.int64)
+    mat[0, :, 0] = 1
+    if d > 1:
+        mat[1] = r
+    for i in range(2, d):
+        mat[i] = _vec_polymod(_vec_polymul(mat[i - 1], r, m), C, m)
+    out = np.zeros((kmax, P, d), dtype=np.int64)
+    s = r
+    for k in range(kmax):
+        out[k] = s
+        if k + 1 < kmax:
+            s = np.einsum("pi,ipj->pj", s, mat) % m[:, None]
+    return out
+
+
+def _primes_below(bound, count):
+    out = []
+    ell = bound
+    while len(out) < count:
+        if _is_prime(ell):
+            out.append(ell)
+        ell -= 1
+    return out
+
+
+def _kernel_test_primes(d):
+    """Small primes and the largest primes the kernel takes at degree d."""
+    return np.array([3, 5, 7, 11, 101, 9973]
+                    + _primes_below(galclass._max_kernel_prime(d), 3),
+                    dtype=np.int64)
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_frobenius_chains_match_the_former_kernel(d):
+    rng = random.Random(d)
+    primes = _kernel_test_primes(d)
+    for extreme in (False, True):
+        # extreme rows have every coefficient l - 1, the largest sums
+        C = np.array([[ell - 1 if extreme else rng.randrange(ell)
+                       for _ in range(d)] + [1] for ell in primes.tolist()],
+                     dtype=np.int64)
+        x = np.zeros((1, len(primes), d), dtype=np.int64)
+        x[0, :, 1] = 1
+        got = galclass._batch_frobenius_chains(C, primes, d, x)
+        assert got.shape == (d, 1, len(primes), d)
+        assert (got[:, 0] == _frobenius_chains_oracle(C, primes, d)).all()
+
+
+@pytest.mark.parametrize("d", [2, 5, 12])
+def test_frobenius_chains_of_y_match_poly_powers(d):
+    # the chain started at y = x + x^(-1), against y^(l^k) mod f by Poly
+    # arithmetic, at small primes and at the kernel's bound
+    rng = random.Random(100 + d)
+    primes = _kernel_test_primes(d)
+    C = np.array([[1] + [rng.randrange(ell) for _ in range(d - 1)] + [1]
+                  for ell in primes.tolist()], dtype=np.int64)
+    y = -C[:, 1:] % primes[:, None]
+    y[:, 1] = (y[:, 1] + 1) % primes
+    kmax = 3
+    got = galclass._batch_frobenius_chains(C, primes, kmax, y[None])
+    for row, ell in enumerate(primes.tolist()):
+        F = get_field(ell)
+        f = Poly(C[row].tolist(), F)
+        yp = Poly(y[row].tolist(), F)
+        assert (yp * Poly([0, 1], F)) % f == Poly([1, 0, 1], F) % f
+        for k in range(kmax):
+            want = _pow_mod(yp, ell ** (k + 1), f)
+            want = list(want.coeffs) + [0] * (d - len(want.coeffs))
+            assert got[k, 0, row].tolist() == want, (d, ell, k)
+
+
+def _two_kernel_calls(int_f, primes):
+    """(degrees of f, degrees of h) as two batch_factor_degrees calls,
+    on f and on its trace form h, give them: (None, None) where either
+    reduction is degenerate, as classify and the validator skip it."""
+    f = Poly([Fraction(c, int_f[-1]) for c in int_f])
+    int_h, _ = galclass._clear_denominators(to_trace_form(f).h)
+    return [(ft, ht) if ft is not None and ht is not None else (None, None)
+            for ft, ht in zip(batch_factor_degrees(int_f, primes),
+                              batch_factor_degrees(int_h, primes))]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_one_pass_matches_two_kernel_calls(n):
+    rng = random.Random(40 + n)
+
+    def rand_h(k):
+        return Poly([rng.randint(-6, 6) for _ in range(k)] + [1])
+
+    small = [int(p) for p in primes_up_to(400) if p > 2]
+    top = _primes_below(galclass._max_kernel_prime(2 * n), 4)
+    hs = [rand_h(n) for _ in range(4)]
+    if n >= 2:   # reducible h, one with a rational root whose lift splits
+        hs += [rand_h(1) * rand_h(n - 1),
+               Poly([Fraction(-5, 2), 1]) * rand_h(n - 1)]
+    if n >= 4:
+        hs.append(rand_h(2) * rand_h(n - 2))
+    degenerate = checked = 0
+    for index, h in enumerate(hs):
+        f = trace_lift(h)
+        if discriminant(f) == 0:
+            continue
+        int_f, _ = galclass._clear_denominators(f)
+        int_h, _ = galclass._clear_denominators(h)
+        for primes in (small, top):
+            got = galclass._batch_lift_degrees(int_f, primes)
+            want = zip(batch_factor_degrees(int_f, primes),
+                       batch_factor_degrees(int_h, primes))
+            for ell, pair, (ft, ht) in zip(primes, got, want):
+                if ft is None:    # f degenerate: the one pass skips it
+                    assert pair == (None, None), (h, ell)
+                    degenerate += 1
+                else:             # f good: h is good too
+                    assert pair == (ft, ht), (h, ell)
+                    checked += 1
+        if index < 2:    # at the kernel's bound, against scalar factoring
+            good = [(ell, ft, ht) for ell, (ft, ht) in
+                    zip(top, galclass._batch_lift_degrees(int_f, top))
+                    if ft is not None]
+            ells, fts, hts = zip(*good)
+            _assert_matches_single_prime(int_f, ells, fts)
+            _assert_matches_single_prime(int_h, ells, hts)
+    assert degenerate and checked
+
+
+def _validator_corpus():
+    rng = random.Random(17)
+    out = [(trace_lift(Poly([-3, -1, 1])), WGroup(2, False)),
+           (trace_lift(Poly([-3, -1, 1])), WGroup(2, True)),
+           (trace_lift(Poly([Fraction(-5, 2), 1]) * Poly([1, 1, 1])),
+            WGroup(3, False))]
+    for n in range(2, 7):
+        h = Poly([rng.randint(-5, 5) for _ in range(n)] + [1])
+        out.append((trace_lift(h), WGroup(n, n % 2 == 0)))
+    return out
+
+
+def test_reports_match_the_two_kernel_route(monkeypatch):
+    # certificates and validator reports are the same when f and h are
+    # factored by two kernel calls, as before the one pass
+    corpus = _classify_corpus()
+    validator = _validator_corpus()
+
+    def reports():
+        return [chebotarev_validate(f, claim, prime_bound=3000)
+                for f, claim in validator]
+
+    certs, reps = _certificates(corpus, 10 ** 4), reports()
+    monkeypatch.setattr(galclass, "_batch_lift_degrees", _two_kernel_calls)
+    assert _certificates(corpus, 10 ** 4) == certs
+    assert reports() == reps
+
+
+def test_resolvent_root_rules_out_class_2():
+    # Gal(h) = D4, C4, V4 (resolvent root), S4, A4 (none), and random
+    # quartics: the resolvent has a rational root exactly when no good
+    # prime below 10^4 shows the [1, 3] pattern of a 3-cycle
+    rng = random.Random(23)
+    primes = [int(p) for p in primes_up_to(10 ** 4) if p > 2]
+    quartics = [[-2, 0, 0, 0, 1], [5, 0, -5, 0, 1], [1, 0, -10, 0, 1],
+                [-3, 0, 0, 0, 2], [1, 1, 0, 0, 1], [12, 8, 0, 0, 1]]
+    quartics += [[rng.randint(-9, 9) for _ in range(4)] + [rng.choice([1, 3])]
+                 for _ in range(12)]
+    roots = 0
+    for int_h in quartics:
+        if discriminant(Poly(int_h)) == 0:
+            continue
+        degs = batch_factor_degrees(int_h, primes)
+        good = [(ell, ht) for ell, ht in zip(primes, degs) if ht is not None]
+        if len(_factor_over_z(int_h, good)) > 1:
+            continue                      # h reducible over Q
+        has_root = galclass._resolvent_has_root(
+            int_h, [ell for ell, _ in good[:30]])
+        assert has_root == all(3 not in ht for _, ht in good), int_h
+        roots += has_root
+    assert roots == 4
 
 
 def test_is_perfect_square():
@@ -399,6 +622,11 @@ def _classify_corpus():
     corpus += [trace_lift(Poly([-5, 0, 1])),
                trace_lift(Poly([-5, 0, 1]) * rand_h(3)),
                trace_lift(Poly([1, 0, -10, 0, 1]))]
+    # irreducible quartic h with Gal(h) inside a D4 (D4, C4, D4 with a
+    # denominator), whose resolvent cubic has a rational root
+    corpus += [trace_lift(Poly([-2, 0, 0, 0, 1])),
+               trace_lift(Poly([5, 0, -5, 0, 1])),
+               trace_lift(Poly([Fraction(-3, 2), 0, 0, 0, 1]))]
     for q in (5, 7):
         E = lfunc.FqTCurve.from_a_invariants(get_field(q), [0], [-1, -1],
                                              [0], [0, 1], [0])
@@ -428,9 +656,10 @@ def test_classify_stop_rule_matches_a_full_scan(monkeypatch, budget):
     corpus = _classify_corpus()
     got = _certificates(corpus, budget)
     # with every class reachable the scan stops only on the wanted
-    # classes, as a scan without the discriminant rule does
+    # classes, as a scan without the discriminant and resolvent rules does
     monkeypatch.setattr(galclass, "_reachable_classes",
                         lambda *args: frozenset(range(1, 7)))
+    monkeypatch.setattr(galclass, "_resolvent_has_root", lambda *args: False)
     want = _certificates(corpus, budget)
     assert got == want
     if budget == 10 ** 4:
@@ -439,14 +668,16 @@ def test_classify_stop_rule_matches_a_full_scan(monkeypatch, budget):
 
 
 def _record_rows(monkeypatch):
+    """Record the block size of every one-pass kernel call of classify
+    (one per block; it factors f and h together)."""
     rows = []
-    inner = galclass.batch_factor_degrees
+    inner = galclass._batch_lift_degrees
 
-    def record(int_coeffs, primes):
+    def record(int_f, primes):
         rows.append(len(primes))
-        return inner(int_coeffs, primes)
+        return inner(int_f, primes)
 
-    monkeypatch.setattr(galclass, "batch_factor_degrees", record)
+    monkeypatch.setattr(galclass, "_batch_lift_degrees", record)
     return rows
 
 
@@ -456,7 +687,7 @@ def test_classify_stops_early_when_h_is_reducible(monkeypatch):
     rows = _record_rows(monkeypatch)
     cert = classify(trace_lift(Poly([-3, 1]) * Poly([-3, 0, 1])))
     assert cert.reason == "missing witnesses for classes [1]"
-    assert len(rows) == 2 and sum(rows) <= 2 * 32
+    assert len(rows) == 1 and sum(rows) <= 32
 
 
 def test_classify_computes_two_discriminants(monkeypatch):
@@ -524,17 +755,24 @@ def test_classify_factors_primes_in_growing_blocks(monkeypatch):
     rows = _record_rows(monkeypatch)
     assert classify(trace_lift(Poly([-3, -1, 1]))).status == "Certified"
     assert 0 < rows[0] <= 32
-    # h = T^4 - 2 has Galois group D4, so no prime shows the degree-3
-    # factor of class 2; h is irreducible and neither rule sees that,
-    # so the scan runs through the whole budget
-    f = trace_lift(Poly([-2, 0, 0, 0, 1]))
+    # h = T^4 - 5T^2 + 5 has Galois group C4, so no prime shows the
+    # patterns of classes 2, 3 and 4; the resolvent rules out class 2
+    # alone, so the scan runs through the whole budget
+    f = trace_lift(Poly([5, 0, -5, 0, 1]))
     odd = len(primes_up_to(10 ** 4)) - 1
     rows.clear()
-    assert classify(f).reason == "missing witnesses for classes [2]"
-    assert sum(rows) >= 2 * (odd - 5) and len(rows) <= 2 * 4
+    assert classify(f).reason == "missing witnesses for classes [2, 3, 4]"
+    assert sum(rows) >= odd - 5 and len(rows) <= 4
     rows.clear()
     classify(f, prime_budget=10 ** 5)
-    assert sum(rows) > 2 * 9000 and max(rows) <= 2048
+    assert sum(rows) > 9000 and max(rows) <= 2048
+    # h = T^4 - 2 has Galois group D4, so no prime shows the degree-3
+    # factor of class 2; its resolvent cubic y^3 + 8y has the root 0,
+    # which rules class 2 out after the first block
+    rows.clear()
+    cert = classify(trace_lift(Poly([-2, 0, 0, 0, 1])))
+    assert cert.reason == "missing witnesses for classes [2]"
+    assert len(rows) == 1 and sum(rows) <= 32
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,12 @@ norms against the reflection-factorization oracle, batched group tables
 vs per-element computation, and class densities against a full
 brute-force census of the group."""
 
+import functools
 import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, product as iter_product
+from itertools import combinations, islice, product as iter_product
 
 import numpy as np
 import pytest
@@ -15,10 +16,10 @@ import pytest
 from orthogal.errors import BudgetExceededError, NotReciprocalError, \
     NotSeparableError
 from orthogal.ffield import get_field, SQUARE, NONSQUARE
-from orthogal import orthfin
+from orthogal import galclass, orthfin
 from orthogal.poly import Poly, factor, factor_degrees
 from orthogal.recpoly import (strip, to_trace_form, classify_H, trace_lift,
-                              in_P_n)
+                              in_P_n, classes_from_degrees)
 from orthogal.orthfin import (OrthSpace, OrthElem, CosetLabel, ALL_COSETS,
                               enumerate_O, reflection, spinor_norm,
                               coset_label, identity_elem, class_proportion,
@@ -504,8 +505,13 @@ def test_sign_pairs_reject_degrees_that_do_not_lift():
 def _qualifying_f(F, n):
     """(classes of h, f) for every f = T^n h(T+1/T) with h in P_n and at
     most eight irreducible factors in f, one h at a time."""
+    return _qualifying(F, _monic_rows(F.q, n))
+
+
+def _qualifying(F, rows):
+    """_qualifying_f over the monic h of the given coefficient rows."""
     out = []
-    for row in _monic_rows(F.q, n):
+    for row in rows:
         h = Poly(row, F)
         classes = classify_H(h)
         if not classes:
@@ -516,14 +522,17 @@ def _qualifying_f(F, n):
     return out
 
 
-def _per_h_densities(V, kappa):
+def _per_h_densities(V, kappa, qualifying=None):
     """{i: density} for i = 1..6 by the per-h loop over class_proportion:
-    the oracle for the census-backed c_i_density."""
+    the oracle for the census-backed c_i_density.  qualifying: the
+    (classes, f) pairs to sum over, by default every h (_qualifying_f)."""
     N = V.N
     eps, delta = kappa.det, kappa.spin
     n = (N - 1) // 2 if N % 2 else (N - 2) // 2 if eps == -1 else N // 2
     out = {i: Fraction(0) for i in range(1, 7)}
-    for classes, f in _qualifying_f(V.field, n):
+    if qualifying is None:
+        qualifying = _qualifying_f(V.field, n)
+    for classes, f in qualifying:
         if N % 2 == 1:
             cd = class_proportion(V, f, "odd", eps=eps)
             hit = cd.spin == delta
@@ -565,6 +574,63 @@ def test_census_rows_match_scalar_factoring(p, max_n):
         assert batched == scalar, (p, n)
         # h = (T - 2) g is outside P_n, so both leave rows out
         assert any(row is None for row in batched)
+
+
+@pytest.mark.parametrize("p,n", [(5, 5), (7, 4), (3, 6), (11, 3)])
+def test_census_rows_match_two_kernel_calls(p, n):
+    # the one pass over f gives the degrees of h and f that two row
+    # kernel calls, on h and on f, give
+    H = np.array(_monic_rows(p, n), dtype=np.int64)
+    rows = orthfin._prime_census_rows(H, p)
+    good = np.array([row is not None for row in rows])
+    m = np.full(int(good.sum()), p, dtype=np.int64)
+    F = H[good] @ orthfin._lift_matrix(n, p) % p
+    want = list(zip(galclass._factor_degree_rows(H[good], m),
+                    galclass._factor_degree_rows(F, m)))
+    assert [row[:2] for row in rows if row is not None] == want
+    assert len(want) > p ** (n - 1)
+
+
+def test_c_i_density_matches_the_per_h_loop_at_n5(fresh_census):
+    # N = 11 over F_5: f of degree 10, odd n, through the one-pass census
+    V = OrthSpace.canonical(get_field(5), 11, SQUARE)
+    for kappa in (ALL_COSETS[0], ALL_COSETS[3]):
+        want = _per_h_densities(V, kappa)
+        for i in range(1, 7):
+            assert c_i_density(V, kappa, i) == want[i], (kappa, i)
+
+
+def test_c_i_density_cuts_lifts_with_more_than_eight_factors(monkeypatch):
+    # Over F_11 with n = 5 a product h of five linear factors whose lifts
+    # mostly split has nine or ten factors in f, so the eight-factor cut
+    # bites (it cannot at n <= 4, nor over F_5 or F_7 at n = 5).  The
+    # 161,051 h are too many for the per-h oracle, so both sides sum over
+    # the same subset: every h with five distinct roots outside +-2 (all
+    # of the h with more than eight factors in f) and some random h.
+    F, n, N = get_field(11), 5, 11
+    rng = random.Random(5)
+    roots = [a for a in range(11) if a not in (2, 9)]
+    hs = [functools.reduce(lambda g, a: g * Poly([-a % 11, 1], F),
+                           rs, Poly([1], F))
+          for rs in combinations(roots, n)]
+    hs += [Poly([rng.randrange(11) for _ in range(n)] + [1], F)
+           for _ in range(300)]
+    H = np.array([list(h.coeffs) for h in hs], dtype=np.int64)
+    rows = [row for row in orthfin._prime_census_rows(H, 11) if row]
+    assert sum(len(fdeg) > 8 for _, fdeg, _, _ in rows) >= 5
+    census = Counter()
+    for hdeg, fdeg, f1, fm1 in rows:
+        census[(classes_from_degrees(hdeg, fdeg), len(fdeg),
+                orthfin._sign_pairs(hdeg, fdeg), f1, fm1)] += 1
+    monkeypatch.setattr(orthfin, "_census",
+                        lambda field, k: tuple(census.items()))
+    qualifying = _qualifying(F, H.tolist())
+    for disc in (SQUARE, NONSQUARE):
+        V = OrthSpace.canonical(F, N, disc)
+        for kappa in ALL_COSETS:
+            want = _per_h_densities(V, kappa, qualifying)
+            for i in range(1, 7):
+                assert c_i_density(V, kappa, i) == want[i], (disc, kappa, i)
 
 
 def test_census_does_not_depend_on_the_block_size(monkeypatch):
