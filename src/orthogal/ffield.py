@@ -13,13 +13,37 @@ tuples in ascending order), so that two runs always agree on the
 representation.
 
 Keeping elements as bare ints keeps polynomial code and enumeration
-loops cheap; the Fq object carries all the arithmetic.
+loops cheap; the Fq object carries all the arithmetic and owns its
+tables.  ``Fq.build_logs`` is the one builder of discrete-log tables:
+numpy exp/log arrays with respect to the least generator, filled by
+blocked powering with the companion matrix of that generator, and the
+quadratic character chi read off the log parity.  They are built on
+first use and live as long as the field object (``get_field`` shares
+one per (p, e)):
+
+* the vectorized ``vmul``, ``vadd``, ``veval``, ``vlog``, ``vexp`` and
+  ``vchi`` on arrays of codes build them whatever q is;
+* for e > 1 the scalar ``mul``, ``inv`` and ``pow`` read them too, and
+  build them themselves when q <= TABLE_MAX_Q; above that bound, unless
+  a vectorized op has built them, they multiply residue polynomials;
+* ``vadd`` adds base-p digits blockwise (digitwise addition has no
+  carries) through p^k x p^k tables, which ``build_tables`` builds on
+  its first call: the digits are split into at least two blocks, and
+  into more while a block's table would exceed ADD_TABLE_MAX entries.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import isqrt
+
+import numpy as np
+
+#: Largest q for which the scalar ops of an extension field build the
+#: exp/log tables themselves (three int64 arrays of about q entries).
+TABLE_MAX_Q = 1 << 16
+#: Most entries in one digit-block addition table of ``Fq.vadd``.
+ADD_TABLE_MAX = 1 << 20
 
 
 class SquareClass:
@@ -175,10 +199,10 @@ class Fq:
             self.modulus = conway_like_modulus(p, e)
         else:
             self.modulus = None
-        self._mul_table = None
-        self._inv_table = None
-        self._log = None
-        self._exp = None
+        self._exp = None     # g^i for i in range(2 (q - 1)): doubled
+        self._log = None     # log_g a, and -1 at a = 0
+        self._chi = None     # 1, -1 or 0: the quadratic character
+        self._adds = None    # (width, add table or None) per digit block
 
     def __repr__(self):
         if self.e == 1:
@@ -245,21 +269,21 @@ class Fq:
     def mul(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a * b) % self.p
-        t = self._mul_table
-        if t is not None:
-            return t[a * self.q + b]
-        prod = _poly_mul_mod_p(self.to_vector(a), self.to_vector(b), self.p)
-        return self.from_vector(_poly_rem_mod_p(prod, self.modulus, self.p))
+        if self._log is None and not self._scalar_tables():
+            return self._poly_mul(a, b)
+        if a == 0 or b == 0:
+            return 0
+        log = self._log
+        return self._exp.item(log.item(a) + log.item(b))
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         if self.e == 1:
             return pow(a, self.p - 2, self.p)
-        t = self._inv_table
-        if t is not None:
-            return t[a]
-        return self.pow(a, self.q - 2)
+        if self._log is None and not self._scalar_tables():
+            return self._poly_pow(a, self.q - 2)
+        return self._exp.item(self.q - 1 - self._log.item(a))
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -270,33 +294,34 @@ class Fq:
         n = n % (self.q - 1) if a else n
         if a == 0:
             return 0 if n else 1
+        if self._log is None and not self._scalar_tables():
+            return self._poly_pow(a, n)
+        return self._exp.item(self._log.item(a) * n % (self.q - 1))
+
+    # -- the polynomial path, which the table build itself runs on --------
+
+    def _poly_mul(self, a: int, b: int) -> int:
+        if self.e == 1:
+            return (a * b) % self.p
+        prod = _poly_mul_mod_p(self.to_vector(a), self.to_vector(b), self.p)
+        return self.from_vector(_poly_rem_mod_p(prod, self.modulus, self.p))
+
+    def _poly_pow(self, a: int, n: int) -> int:
+        """a^n for n >= 0 by square-and-multiply on the polynomial path."""
         result = 1
-        base = a
         while n:
             if n & 1:
-                result = self.mul(result, base)
+                result = self._poly_mul(result, a)
             n >>= 1
-            base = self.mul(base, base)
+            a = self._poly_mul(a, a)
         return result
 
-    # -- tables for small fields ----------------------------------------
-
-    def build_tables(self):
-        """Precompute flat mul/inv tables (worth it for q <= ~2000)."""
-        if self.e == 1 or self._mul_table is not None:
-            return
-        q = self.q
-        table = [0] * (q * q)
-        for a in range(q):
-            for b in range(a, q):
-                v = self.mul(a, b)
-                table[a * q + b] = v
-                table[b * q + a] = v
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = self.pow(a, q - 2)
-        self._mul_table = table
-        self._inv_table = inv
+    def _scalar_tables(self) -> bool:
+        """Build the tables for the scalar ops if q <= TABLE_MAX_Q; whether
+        they are built."""
+        if self._log is None and self.q <= TABLE_MAX_Q:
+            self.build_logs()
+        return self._log is not None
 
     # -- multiplicative structure ----------------------------------------
 
@@ -307,32 +332,66 @@ class Fq:
         for g in range(1, q):
             if self.e == 1 and g == 1:
                 continue
-            if all(self.pow(g, (q - 1) // r) != 1 for r in factors):
+            if all(self._poly_pow(g, (q - 1) // r) != 1 for r in factors):
                 return g
         raise RuntimeError("no generator")  # unreachable
 
     def build_logs(self):
-        """Discrete-log tables w.r.t. the fixed generator."""
+        """Discrete-log tables w.r.t. the fixed generator g.
+
+        The digit vectors of g^i are the columns M^i e_0 for the matrix M
+        of multiplication by g on F_p^e: the first block of powers is
+        stepped one at a time, and each further block is the last one
+        multiplied by M^block.  Entries stay below p, so every product
+        sum is at most e (p - 1)^2.
+        """
         if self._log is not None:
             return
+        p, e, q = self.p, self.e, self.q
         g = self.generator()
-        q = self.q
-        exp = [0] * (q - 1)
-        log = [0] * q  # log[0] unused
-        acc = 1
-        for i in range(q - 1):
-            exp[i] = acc
-            log[acc] = i
-            acc = self.mul(acc, g)
-        self._exp = exp
+        M = np.array([self.to_vector(self._poly_mul(g, p ** j))
+                      for j in range(e)], dtype=np.int64).T
+        block = min(1024, q - 1)
+        V = np.zeros((e, block), dtype=np.int64)
+        v = np.zeros(e, dtype=np.int64)
+        v[0] = 1
+        for i in range(block):
+            V[:, i] = v
+            v = (M @ v) % p
+        Mb = np.eye(e, dtype=np.int64)         # M^block by squaring
+        base, nn = M, block
+        while nn:
+            if nn & 1:
+                Mb = (Mb @ base) % p
+            nn >>= 1
+            if nn:
+                base = (base @ base) % p
+        nblocks = -(-(q - 1) // block)
+        digits = np.empty((e, nblocks * block), dtype=np.int64)
+        for b in range(nblocks):
+            digits[:, b * block:(b + 1) * block] = V
+            V = (Mb @ V) % p
+        codes = p ** np.arange(e, dtype=np.int64) @ digits[:, :q - 1]
+        log = np.full(q, -1, dtype=np.int64)
+        log[codes] = np.arange(q - 1)
+        chi = np.zeros(q, dtype=np.int64)
+        chi[codes] = np.where(np.arange(q - 1) % 2 == 0, 1, -1)
+        self._exp = np.concatenate([codes, codes])
+        self._chi = chi
         self._log = log
 
+    def build_tables(self):
+        """The digit-block addition tables of vadd (see _digit_blocks)."""
+        if self._adds is None:
+            self._adds = [(self.p ** k, _block_add_table(self.p, k))
+                          for k in _digit_blocks(self.p, self.e)]
+
     def square_class(self, a: int) -> SquareClass:
-        """Square class of a, decided by a^((q-1)/2)."""
+        """Square class of a, decided by a^((q-1)/2) or by log parity."""
         if a == 0:
             return ZERO_CLASS
-        if self._log is not None:
-            return SQUARE if self._log[a] % 2 == 0 else NONSQUARE
+        if self._log is not None or self.e > 1 and self._scalar_tables():
+            return SQUARE if self._log.item(a) % 2 == 0 else NONSQUARE
         return SQUARE if self.pow(a, (self.q - 1) // 2) == 1 else NONSQUARE
 
     def squares(self):
@@ -342,13 +401,93 @@ class Fq:
     def elements(self):
         return range(self.q)
 
+    # -- vectorized arithmetic on int64 arrays of codes --------------------
+
+    def _logs(self):
+        if self._log is None:
+            self.build_logs()
+        return self._exp, self._log
+
+    def vlog(self, u) -> np.ndarray:
+        """log_g of each code, -1 at zero."""
+        return self._logs()[1][u]
+
+    def vexp(self, k) -> np.ndarray:
+        """g^k for exponents 0 <= k < 2 (q - 1)."""
+        return self._logs()[0][k]
+
+    def vchi(self, u) -> np.ndarray:
+        """The quadratic character: 1, -1, or 0 at zero."""
+        self._logs()
+        return self._chi[u]
+
+    def vmul(self, u, v) -> np.ndarray:
+        exp, log = self._logs()
+        u, v = np.broadcast_arrays(np.asarray(u), np.asarray(v))
+        lu = log[u]
+        lv = log[v]
+        out = np.zeros(u.shape, dtype=np.int64)
+        nz = (lu >= 0) & (lv >= 0)
+        out[nz] = exp[lu[nz] + lv[nz]]
+        return out
+
+    def vadd(self, u, v) -> np.ndarray:
+        if self.e == 1:
+            return (np.asarray(u) + np.asarray(v)) % self.p
+        if self._adds is None:
+            self.build_tables()
+        out = None
+        scale = 1
+        for i, (width, table) in enumerate(self._adds):
+            if i + 1 < len(self._adds):
+                u, a = np.divmod(u, width)
+                v, b = np.divmod(v, width)
+            else:
+                a, b = u, v
+            s = table[a, b] if table is not None else (a + b) % self.p
+            out = s if out is None else out + scale * s
+            scale *= width
+        return out
+
+    def veval(self, coeffs, ts) -> np.ndarray:
+        """Horner evaluation of the polynomial with ascending coefficient
+        codes coeffs at each code of the array ts."""
+        acc = np.zeros(np.shape(ts), dtype=np.int64)
+        for c in reversed(coeffs):
+            acc = self.vadd(self.vmul(acc, ts), int(c))
+        return acc
+
+
+def _digit_blocks(p: int, e: int) -> list:
+    """Digit counts of the blocks that Fq.vadd splits a code of F_{p^e}
+    into, low block first: e // 2 and e - e // 2 digits, or as many
+    near-equal blocks as it takes to keep every table p^(2k) within
+    ADD_TABLE_MAX.  A one-digit block of a larger p gets no table."""
+    k = 1
+    while p ** (2 * k + 2) <= ADD_TABLE_MAX:
+        k += 1
+    nb = max(2, -(-e // k))
+    return [e // nb + (i >= nb - e % nb) for i in range(nb)]
+
+
+@lru_cache(maxsize=16)
+def _block_add_table(p: int, k: int):
+    """(a + b) for every pair of k-digit codes, or None when the table
+    would exceed ADD_TABLE_MAX entries."""
+    n = p ** k
+    if n * n > ADD_TABLE_MAX:
+        return None
+    codes = np.arange(n)
+    out = np.zeros((n, n), dtype=np.int64)
+    scale = 1
+    for _ in range(k):
+        da = (codes // scale) % p
+        out += scale * ((da[:, None] + da[None, :]) % p)
+        scale *= p
+    return out
+
 
 @lru_cache(maxsize=None)
 def get_field(p: int, e: int = 1) -> Fq:
     """Shared Fq instances so lazily built tables are reused."""
     return Fq(p, e)
-
-
-def square_class(a: int, field: Fq) -> SquareClass:
-    """Square class of the element a of the given field."""
-    return field.square_class(a)

@@ -15,6 +15,13 @@ enter log L = sum S_k T^k / k, the series is exponentiated to integer
 coefficients, and the polynomial is completed through its functional
 equation T^N P(1/T) = eps P(T).  Everything is exact integer
 arithmetic; a numeric inverse-root check is offered separately.
+
+The point counts, the roots of a place in its residue field and the
+subfield embeddings run on the vectorized ops of the extension field's
+``Fq`` (``vmul``, ``vadd``, ``veval``, ``vlog``, ``vexp``, ``vchi``),
+whose exp/log tables that field builds on first use and keeps (see
+``ffield`` for the size bounds).  This module caches only the embedding
+tables and the fiber traces of each base model.
 """
 
 from __future__ import annotations
@@ -349,86 +356,14 @@ def _invariants(E: FqTCurve, d: int, fps):
 
 
 # ---------------------------------------------------------------------------
-# Vectorized finite-field tables, embeddings and fiber counting
+# Field embeddings and fiber counting
 # ---------------------------------------------------------------------------
 
 
+#: (p, e) -> the field F_{p^e} of a fiber count or residue field; the
+#: field object holds its own tables, so this only keeps them in view
 _VT_CACHE: dict = {}
 _EMB_CACHE: dict = {}
-
-
-class _FieldTables:
-    """Numpy log/exp/digit tables for one field, powering the vectorized
-    point counts."""
-
-    def __init__(self, F: Fq):
-        F.build_logs()
-        q = F.q
-        self.F = F
-        self.q = q
-        exp = np.array(F._exp, dtype=np.int64)
-        self.EXP2 = np.concatenate([exp, exp])   # index by lu+lv directly
-        log = np.full(q, -1, dtype=np.int64)
-        log[exp] = np.arange(q - 1)
-        self.LOG = log
-        chi = np.zeros(q, dtype=np.int64)
-        chi[exp] = np.where(np.arange(q - 1) % 2 == 0, 1, -1)
-        self.CHI = chi
-        # digitwise base-p addition has no carries, so the low and high
-        # digit blocks add independently through two small tables
-        if F.e == 1:
-            self.PH = None
-        else:
-            h = F.e // 2
-            self.PH = F.p ** h
-            self.LOADD = self._block_add_table(F.p, h)
-            self.HIADD = self._block_add_table(F.p, F.e - h)
-
-    @staticmethod
-    def _block_add_table(p: int, ndig: int) -> np.ndarray:
-        n = p ** ndig
-        codes = np.arange(n)
-        out = np.zeros((n, n), dtype=np.int64)
-        scale = 1
-        for _ in range(ndig):
-            da = (codes // scale) % p
-            s = (da[:, None] + da[None, :]) % p
-            out += scale * s
-            scale *= p
-        return out
-
-    def mul(self, u, v):
-        u, v = np.broadcast_arrays(np.asarray(u), np.asarray(v))
-        lu = self.LOG[u]
-        lv = self.LOG[v]
-        out = np.zeros(u.shape, dtype=np.int64)
-        nz = (lu >= 0) & (lv >= 0)
-        out[nz] = self.EXP2[lu[nz] + lv[nz]]
-        return out
-
-    def add(self, u, v):
-        u = np.asarray(u)
-        v = np.asarray(v)
-        if self.PH is None:
-            return (u + v) % self.F.p
-        ph = self.PH
-        return (self.LOADD[u % ph, v % ph]
-                + ph * self.HIADD[u // ph, v // ph])
-
-    def eval_poly(self, f: Poly, ts):
-        """Horner evaluation of a polynomial over this field at an
-        array of element codes."""
-        acc = np.zeros(ts.shape, dtype=np.int64)
-        for c in reversed(f.coeffs):
-            acc = self.add(self.mul(acc, ts), int(c))
-        return acc
-
-
-def _tables(F: Fq) -> _FieldTables:
-    key = (F.p, F.e)
-    if key not in _VT_CACHE:
-        _VT_CACHE[key] = _FieldTables(F)
-    return _VT_CACHE[key]
 
 
 def _embedding_table(Fs: Fq, Fb: Fq) -> np.ndarray:
@@ -443,9 +378,7 @@ def _embedding_table(Fs: Fq, Fb: Fq) -> np.ndarray:
     if Fs.e == 1 or Fs.e == Fb.e:
         emb = np.arange(Fs.q, dtype=np.int64)
     else:
-        T = _tables(Fb)
-        mod = Poly(list(conway_like_modulus(Fs.p, Fs.e)), Fb)
-        vals = T.eval_poly(mod, np.arange(Fb.q))
+        vals = Fb.veval(conway_like_modulus(Fs.p, Fs.e), np.arange(Fb.q))
         roots = np.nonzero(vals == 0)[0]
         if len(roots) == 0:
             raise RuntimeError("modulus has no root in the big field")
@@ -482,9 +415,8 @@ def _residue_field_and_root(F: Fq, pi: Poly):
     if r == 1:
         t0 = F.neg(F.mul(pi.coeffs[0], F.inv(pi.coeffs[1])))
         return F, t0
-    kv = get_field(F.p, F.e * r)
-    T = _tables(kv)
-    vals = T.eval_poly(_embed_poly(pi, kv), np.arange(kv.q))
+    kv = _extension_field(F, r)
+    vals = kv.veval(_embed_poly(pi, kv).coeffs, np.arange(kv.q))
     roots = np.nonzero(vals == 0)[0]
     if len(roots) == 0:
         raise ValueError("place polynomial is not irreducible")
@@ -494,9 +426,8 @@ def _residue_field_and_root(F: Fq, pi: Poly):
 def _fiber_traces(F: Fq, a_codes, b_codes) -> np.ndarray:
     """Traces -sum_x chi(x^3 + a x + b) over F for paired arrays of
     curve constants (the Frobenius trace of each fiber)."""
-    T = _tables(F)
     xs = np.arange(F.q)
-    x3 = T.mul(T.mul(xs, xs), xs)
+    x3 = F.vmul(F.vmul(xs, xs), xs)
     a_codes = np.asarray(a_codes, dtype=np.int64)
     b_codes = np.asarray(b_codes, dtype=np.int64)
     out = np.empty(len(a_codes), dtype=np.int64)
@@ -504,8 +435,8 @@ def _fiber_traces(F: Fq, a_codes, b_codes) -> np.ndarray:
     for s in range(0, len(a_codes), chunk):
         A = a_codes[s:s + chunk, None]
         B = b_codes[s:s + chunk, None]
-        rhs = T.add(T.add(x3[None, :], T.mul(A, xs[None, :])), B)
-        out[s:s + chunk] = -T.CHI[rhs].sum(axis=1)
+        rhs = F.vadd(F.vadd(x3[None, :], F.vmul(A, xs[None, :])), B)
+        out[s:s + chunk] = -F.vchi(rhs).sum(axis=1)
     return out
 
 
@@ -542,10 +473,13 @@ class LPolynomial:
         return float(np.max(np.abs(self.Q * np.abs(roots) - 1.0)))
 
 
-def _extension_field(FQ: Fq, k: int) -> Fq:
-    if k == 1:
-        return FQ
-    return get_field(FQ.p, FQ.e * k)
+def _extension_field(F: Fq, k: int) -> Fq:
+    """F_{q^k} for F = F_q: every field whose vectorized ops this module
+    runs comes from here."""
+    key = (F.p, F.e * k)
+    if key not in _VT_CACHE:
+        _VT_CACHE[key] = F if k == 1 else get_field(*key)
+    return F if k == 1 else _VT_CACHE[key]
 
 
 def _grouped_traces(F: Fq, Av, Bv) -> np.ndarray:
@@ -553,12 +487,11 @@ def _grouped_traces(F: Fq, Av, Bv) -> np.ndarray:
     representative per isomorphism class: fibers sharing a j-invariant
     are quadratic twists (a, b) = (c^2 a0, c^3 b0) of each other, so
     their traces differ only by the sign chi(c)."""
-    T = _tables(F)
     m = F.q - 1
     Av = np.asarray(Av, dtype=np.int64)
     Bv = np.asarray(Bv, dtype=np.int64)
-    la = T.LOG[Av]
-    lb = T.LOG[Bv]
+    la = F.vlog(Av)
+    lb = F.vlog(Bv)
     out = np.zeros(len(Av), dtype=np.int64)
     rep_a: list = []
     rep_b: list = []
@@ -588,10 +521,10 @@ def _grouped_traces(F: Fq, Av, Bv) -> np.ndarray:
     if gen.any():
         idxs = np.nonzero(gen)[0]
         lag, lbg = la[idxs], lb[idxs]
-        a3 = T.EXP2[(3 * lag) % m]
-        w = T.add(T.mul(int(F.from_int(4)), a3),
-                  T.mul(int(F.from_int(27)), T.EXP2[(2 * lbg) % m]))
-        jcode = T.EXP2[(T.LOG[a3] + (m - T.LOG[w])) % m]
+        a3 = F.vexp((3 * lag) % m)
+        w = F.vadd(F.vmul(int(F.from_int(4)), a3),
+                   F.vmul(int(F.from_int(27)), F.vexp((2 * lbg) % m)))
+        jcode = F.vexp((F.vlog(a3) + (m - F.vlog(w))) % m)
         order = np.argsort(jcode, kind="stable")
         jo = jcode[order]
         starts = np.nonzero(np.concatenate(([True], jo[1:] != jo[:-1])))[0]
@@ -622,12 +555,11 @@ def _base_fiber_traces(FQ: Fq, k: int, Am: Poly, Bm: Poly,
     if key in _BASE_TRACES:
         return _BASE_TRACES[key]
     Fk = _extension_field(FQ, k)
-    T = _tables(Fk)
     ts = np.arange(Fk.q)
-    Dv = T.eval_poly(_embed_poly(Dm, Fk), ts)
+    Dv = Fk.veval(_embed_poly(Dm, Fk).coeffs, ts)
     good = Dv != 0
-    Av = T.eval_poly(_embed_poly(Am, Fk), ts)[good]
-    Bv = T.eval_poly(_embed_poly(Bm, Fk), ts)[good]
+    Av = Fk.veval(_embed_poly(Am, Fk).coeffs, ts)[good]
+    Bv = Fk.veval(_embed_poly(Bm, Fk).coeffs, ts)[good]
     tr = np.zeros(Fk.q, dtype=np.int64)
     tr[good] = _grouped_traces(Fk, Av, Bv)
     _BASE_TRACES[key] = tr
@@ -645,14 +577,13 @@ def _power_sum(FQ: Fq, k: int, Am: Poly, Bm: Poly, Dm: Poly,
     finite_places must then already carry the twisted local data.
     """
     Fk = _extension_field(FQ, k)
-    T = _tables(Fk)
     tr = _base_fiber_traces(FQ, k, Am, Bm, Dm)
     if u is None:
         S = int(tr.sum())
     else:
-        uv = T.eval_poly(_embed_poly(u, Fk), np.arange(Fk.q))
+        uv = Fk.veval(_embed_poly(u, Fk).coeffs, np.arange(Fk.q))
         # chi(u(t0)) = 0 at roots of u, which are additive for the twist
-        S = int((tr * T.CHI[uv]).sum())
+        S = int((tr * Fk.vchi(uv)).sum())
     for pd in finite_places:
         r = pd.degree
         if k % r == 0 and _is_multiplicative(pd.kodaira):
@@ -709,9 +640,7 @@ def l_function(E: FqTCurve, u: Poly | None = None, n: int = 1,
     F = E.field
     if n < 1:
         raise ValueError("n must be >= 1")
-    FQ = F if n == 1 else get_field(F.p, F.e * n)
-    if FQ.e > 1 and FQ.q <= 2048:
-        FQ.build_tables()
+    FQ = _extension_field(F, n)
     Q = FQ.q
     A = _embed_poly(E.A, FQ)
     B = _embed_poly(E.B, FQ)
@@ -834,9 +763,7 @@ def _twist_family(E: FqTCurve, d: int, n: int = 1, places=None):
     if d < 0:
         raise ValueError("d must be >= 0")
     F = E.field
-    FQ = F if n == 1 else get_field(F.p, F.e * n)
-    if FQ.e > 1 and FQ.q <= 2048:
-        FQ.build_tables()
+    FQ = _extension_field(F, n)
     Q = FQ.q
     if places is None:
         places = finite_bad_places(E)

@@ -273,17 +273,6 @@ class Poly:
             out = out * Poly([a, 1], F) + Poly([c], F)
         return out
 
-    def map_field(self, G: Fq, embed=None):
-        """Re-interpret coefficients in the field G.
-
-        embed maps a coefficient of self into G; defaults to the prime
-        subfield embedding (valid when self.field is a prime field of
-        the same characteristic, or field=None with integer coeffs).
-        """
-        if embed is None:
-            embed = lambda c: c % G.p
-        return Poly([embed(c) for c in self.coeffs], G)
-
     # -- gcd -------------------------------------------------------------
 
     def gcd(self, other):

@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceededError, NotReciprocalError
-from .ffield import (Fq, get_field, SquareClass, SQUARE, NONSQUARE, ZERO_CLASS,
+from .ffield import (get_field, SquareClass, SQUARE, NONSQUARE, ZERO_CLASS,
                      _is_prime, _prime_factors)
 from .poly import Poly, factor_degrees, is_irreducible
 
@@ -354,79 +354,6 @@ _BUCKETS = [("Square", "Square"), ("Square", "NonSquare"),
             ("NonSquare", "Square"), ("NonSquare", "NonSquare")]
 
 
-def _count_m1(F: Fq):
-    counts = {k: 0 for k in _BUCKETS}
-    two = F.from_int(2)
-    for z in F.elements():
-        u = F.sub(two, z)
-        v = F.sub(F.neg(two), z)
-        if u == 0 or v == 0:
-            continue
-        key = (F.square_class(u).tag, F.square_class(v).tag)
-        counts[key] += 1
-    return counts
-
-
-def _field_log_table(B: Fq):
-    """(codes, log) arrays for the big field via numpy blocked powering.
-
-    codes[i] is the int encoding of g^i; log is the inverse table with
-    log[0] unused.
-    """
-    p, em, Q = B.p, B.e, B.q
-    g = B.generator()
-    # multiplication-by-g as a matrix over F_p acting on digit vectors
-    M = np.zeros((em, em), dtype=np.int64)
-    for j in range(em):
-        col = B.to_vector(B.mul(g, p ** j))
-        M[:, j] = col
-    block = 1024
-    # first `block` powers, sequentially
-    V = np.zeros((em, block), dtype=np.int64)
-    v = np.zeros(em, dtype=np.int64)
-    v[0] = 1
-    for i in range(block):
-        V[:, i] = v
-        v = (M @ v) % p
-    # multiplication by g^block, by squaring
-    Mb = np.eye(em, dtype=np.int64)
-    base = M.copy()
-    nn = block
-    while nn:
-        if nn & 1:
-            Mb = (Mb @ base) % p
-        nn >>= 1
-        if nn:
-            base = (base @ base) % p
-    nblocks = (Q - 1 + block - 1) // block
-    digits = np.zeros((em, nblocks * block), dtype=np.int64)
-    cur = V
-    for b in range(nblocks):
-        digits[:, b * block:(b + 1) * block] = cur
-        cur = (Mb @ cur) % p
-    digits = digits[:, :Q - 1]
-    weights = np.array([p ** j for j in range(em)], dtype=np.int64)
-    codes = (weights @ digits)
-    log = np.zeros(Q, dtype=np.int64)
-    log[codes] = np.arange(Q - 1, dtype=np.int64)
-    return codes, log
-
-
-def _shift_codes(B: Fq, all_codes, c0: int):
-    """Codes of (c0 - z) for every z given by all_codes, vectorized."""
-    p, em = B.p, B.e
-    z = all_codes.copy()
-    out = np.zeros_like(all_codes)
-    mult = 1
-    base = B.to_vector(c0)
-    for j in range(em):
-        digit = (base[j] - z % p) % p
-        out += digit * mult
-        z //= p
-        mult *= p
-    return out
-
-
 def _odd_prime_power(q: int) -> tuple[int, int]:
     """(p, e) with q = p^e for an odd prime p; ValueError otherwise."""
     factors = _prime_factors(q)
@@ -448,31 +375,25 @@ def count_irreducible_classes(q: int, m: int, budget: int = 10 ** 6) -> Irreduci
     if q ** m > budget:
         raise BudgetExceededError(f"q^m = {q ** m} exceeds budget {budget}")
     p, e = _odd_prime_power(q)
-    F = get_field(p, e)
-    if m == 1:
-        counts = _count_m1(F)
-        devs = {k: abs(4 * 1 * c - q) for k, c in counts.items()}
-        return IrreducibleCountTable(q, m, counts, devs, F.modulus)
-
     B = get_field(p, e * m)
     Q = B.q
-    codes, log = _field_log_table(B)
-    all_codes = np.arange(1, Q, dtype=np.int64)      # nonzero elements
-    logs = log[all_codes]
+    all_codes = np.arange(Q, dtype=np.int64)
+    logs = B.vlog(all_codes)
     # z generates F_{q^m} over F_q iff z lies in no proper subfield
     # F_{q^d}; the nonzero part of F_{q^d} is the subgroup of index
-    # (Q-1)/(q^d-1)
-    full = np.ones(Q - 1, dtype=bool)
+    # (Q-1)/(q^d-1), and z = 0 generates only at m = 1
+    full = (all_codes != 0) | (m == 1)
     for r in set(_prime_factors(m)):
         d = m // r
         idx = (Q - 1) // (q ** d - 1)
         full &= (logs % idx) != 0
     # boundary values 2 - z and -2 - z
-    u = _shift_codes(B, all_codes, B.from_int(2))
-    v = _shift_codes(B, all_codes, B.from_int(-2))
+    minus_z = B.vmul(B.from_int(-1), all_codes)
+    u = B.vadd(B.from_int(2), minus_z)
+    v = B.vadd(B.from_int(-2), minus_z)
     ok = full & (u != 0) & (v != 0)
-    usq = (log[u[ok]] % 2) == 0
-    vsq = (log[v[ok]] % 2) == 0
+    usq = (B.vlog(u[ok]) % 2) == 0
+    vsq = (B.vlog(v[ok]) % 2) == 0
     raw = {
         ("Square", "Square"): int(np.count_nonzero(usq & vsq)),
         ("Square", "NonSquare"): int(np.count_nonzero(usq & ~vsq)),

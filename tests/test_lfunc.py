@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from orthogal import lfunc
+from orthogal import ffield, lfunc
 from orthogal.errors import BudgetExceededError, NotSeparableError
 from orthogal.ffield import get_field
 from orthogal.poly import Poly
@@ -145,6 +145,24 @@ def test_legendre_local_data_pinned():
     assert inf.kodaira == "I2*"
     assert (inf.f_v, inf.gamma_v, inf.b_v) == (2, 1, 1)
     assert list(bad_modulus(E).coeffs) == [0, 4, 1]
+
+
+def test_cubic_place_keeps_the_add_tables_small():
+    """y^2 = x(x - 1)(x - g) over F_101 with g = 1 + t^2 + t^3: the place
+    g is cubic and multiplicative, so its residue field F_{101^3} (about
+    10^6 codes) is searched for a root, and no digit-block add table of
+    that field may exceed ADD_TABLE_MAX entries (a two-digit block
+    would make a table of 101^4 entries, 832 MB)."""
+    F = get_field(101)
+    E = FqTCurve.from_a_invariants(F, [0], [-2, 0, -1, -1], [0],
+                                   [1, 0, 1, 1], [0])
+    fps = {tuple(pd.place.coeffs): pd for pd in finite_bad_places(E)}
+    assert fps[(1, 0, 1, 1)].kodaira == "I2"
+    assert fps[(1, 0, 1, 1)].a_v in (1, -1)
+    assert fps[(0, 1)].kodaira == "I4" and fps[(1, 1)].kodaira == "I2"
+    tables = get_field(101, 3)._adds
+    assert len(tables) == 3
+    assert all(t.size <= ffield.ADD_TABLE_MAX for _, t in tables)
 
 
 def test_legendre_invariants_pinned():

@@ -3,7 +3,9 @@
 * no invariant may be an ``assert``, which ``python -O`` strips;
 * only ``cli.main`` writes to standard output.  Callers such as the
   benchmark run ``cli.dispatch`` in-process and read the last line of
-  stdout as their result, so a stray line would corrupt it."""
+  stdout as their result, so a stray line would corrupt it;
+* only ``ffield`` reads the private tables of ``Fq`` (``_exp``, ``_log``,
+  ...); other modules go through its scalar and vectorized ops."""
 
 import ast
 from pathlib import Path
@@ -49,3 +51,26 @@ def test_only_cli_main_writes_stdout():
         found += [f"{p.name}:{node.lineno}" for node in ast.walk(tree)
                   if _writes_stdout(node) and id(node) not in allowed]
     assert not found, f"writes to stdout outside cli.main: {found}"
+
+
+def _fq_private_attributes(tree) -> set:
+    """The private attributes that Fq.__init__ sets on self."""
+    fq = [node for node in tree.body
+          if isinstance(node, ast.ClassDef) and node.name == "Fq"]
+    assert len(fq) == 1, "ffield.Fq not found"
+    init = [node for node in fq[0].body
+            if isinstance(node, ast.FunctionDef) and node.name == "__init__"]
+    return {node.attr for node in ast.walk(init[0])
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and isinstance(node.value, ast.Name) and node.value.id == "self"}
+
+
+def test_only_ffield_reads_the_field_tables():
+    trees = {p.name: tree for p, tree in _trees()}
+    private = _fq_private_attributes(trees["ffield.py"])
+    assert {"_exp", "_log"} <= private, private
+    found = [f"{name}:{node.lineno} .{node.attr}"
+             for name, tree in trees.items() if name != "ffield.py"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in private]
+    assert not found, f"Fq tables read outside ffield: {found}"
