@@ -3,13 +3,16 @@ Primitive Hodge numbers of smooth degree-d hypersurfaces of even
 dimension n, their middle-cohomology signature, and the real quadratic
 field attached to the family when the orthogonal rank is even.
 
-The primitive numbers h0_{p,q} (p + q = n) are read off an exact
-truncated bivariate integer power series: the two-variable generating
-function is rewritten with the common factor (y - z) cancelled so that
-both numerator and denominator become series with unit constant term,
-and the denominator is inverted by the standard recursion over the
-integers.  No floating point is involved anywhere, which is what makes
-the mod-4 signature congruence checkable exactly.
+The Hodge numbers depend only on (n, d), so they may be read off the
+Fermat hypersurface x_0^d + ... + x_{n+1}^d = 0.  Griffiths (On the
+periods of certain rational integrals, Ann. of Math. 90, 1969)
+identifies h0_{p,n-p} with the dimension of the degree
+s_p = (n - p + 1) d - (n + 2) part of the Jacobian ring
+C[x_0, ..., x_{n+1}] / (x_i^{d-1}), whose monomial basis is x^b with
+0 <= b_i <= d - 2.  Counting those exponent vectors by inclusion-
+exclusion over the coordinates that exceed d - 2 gives a sum of
+binomials.  Only integers are involved, which is what makes the mod-4
+signature congruence checkable exactly.
 """
 
 from __future__ import annotations
@@ -20,102 +23,25 @@ from math import comb
 from .galclass import KField
 
 
-# ---------------------------------------------------------------------------
-# Truncated bivariate integer series (grids of Python ints)
-# ---------------------------------------------------------------------------
+def _jacobian_count(n: int, d: int, p: int) -> int:
+    """h0_{p,n-p} = #{b in [0, d-2]^{n+2} : sum(b) = s}, where
+    s = (n - p + 1) d - (n + 2).
 
-
-def _zero(bound: int):
-    return [[0] * bound for _ in range(bound)]
-
-
-def _mul2(a, b, bound: int):
-    out = _zero(bound)
-    for i in range(bound):
-        row = a[i]
-        for k in range(bound):
-            c = row[k]
-            if c == 0:
-                continue
-            for j in range(bound - i):
-                brow = b[j]
-                for m in range(bound - k):
-                    v = brow[m]
-                    if v:
-                        out[i + j][k + m] += c * v
-    return out
-
-
-def _inv2(a, bound: int):
-    """Inverse of a series with constant term +-1."""
-    c0 = a[0][0]
-    if c0 not in (1, -1):
-        raise ValueError("series is not a unit")
-    out = _zero(bound)
-    out[0][0] = c0
-    # solve a * out = 1 degree by degree (total degree order)
-    for deg in range(1, 2 * bound - 1):
-        for i in range(min(deg, bound - 1), -1, -1):
-            k = deg - i
-            if k >= bound:
-                continue
-            s = 0
-            for j in range(i + 1):
-                for m in range(k + 1):
-                    if j == i and m == k:
-                        continue
-                    s += a[i - j][k - m] * out[j][m]
-            out[i][k] = -c0 * s
-    return out
-
-
-def _binom_power(var: int, d: int, bound: int):
-    """(1 + y)^d if var == 0 else (1 + z)^d, as a truncated grid."""
-    out = _zero(bound)
-    for k in range(min(d, bound - 1) + 1):
-        if var == 0:
-            out[k][0] = comb(d, k)
-        else:
-            out[0][k] = comb(d, k)
-    return out
-
-
-def _hirzebruch_series(d: int, bound: int):
-    """The grid of primitive Hodge numbers h0_{p,q} as coefficients of
-    y^p z^q.
-
-    The defining expression is
-        1/((1+y)(1+z)) * ( ((1+y)^d - (1+z)^d)
-                           / (y (1+z)^d - z (1+y)^d) - 1 ).
-    Numerator and denominator of the inner fraction share the factor
-    (y - z); cancelling it leaves
-        M = sum_{i=0}^{d-1} (1+y)^i (1+z)^{d-1-i}
-        E = (1+z)^d - z M
-    with E(0,0) = 1, so everything happens inside Z[[y, z]].
+    Without the upper bounds, C(s + n + 1, n + 1) vectors b >= 0 sum to
+    s.  Those with every coordinate of a given j-set >= d - 1 are, after
+    subtracting d - 1 from each, the unbounded vectors summing to
+    s - j(d-1).  Inclusion-exclusion over the C(n+2, j) j-sets leaves
+    the vectors with no coordinate above d - 2.
     """
-    ypows = [_binom_power(0, i, bound) for i in range(d)]
-    zpows = [_binom_power(1, i, bound) for i in range(d + 1)]
-    M = _zero(bound)
-    for i in range(d):
-        term = _mul2(ypows[i], zpows[d - 1 - i], bound)
-        for r in range(bound):
-            for c in range(bound):
-                M[r][c] += term[r][c]
-    zM = _zero(bound)
-    for r in range(bound):
-        for c in range(bound - 1):
-            zM[r][c + 1] = M[r][c]
-    E = [[zpows[d][r][c] - zM[r][c] for c in range(bound)]
-         for r in range(bound)]
-    ratio = _mul2(M, _inv2(E, bound), bound)
-    ratio[0][0] -= 1
-    onep = _mul2(_binom_power(0, 1, bound), _binom_power(1, 1, bound), bound)
-    return _mul2(ratio, _inv2(onep, bound), bound)
+    s = (n - p + 1) * d - (n + 2)
+    return sum((-1) ** j * comb(n + 2, j) * comb(s - j * (d - 1) + n + 1, n + 1)
+               for j in range(n + 3) if s - j * (d - 1) >= 0)
 
 
 def _alternating_check(d: int, n: int) -> int:
-    """sum_{p+q=n} (-1)^p h0_{p,q} through the one-variable
-    specialization y = -x, z = x: the series (alpha/beta - 1)/(1-x^2)
+    """sum_{p+q=n} (-1)^p h0_{p,q} by an independent route: Hirzebruch's
+    generating function for the h0_{p,q} as coefficients of y^p z^q,
+    specialized to y = -x, z = x, is the series (alpha/beta - 1)/(1-x^2)
     with alpha = sum C(d,2k+1) x^{2k}, beta = sum C(d,2k) x^{2k}."""
     bound = n + 1
     alpha = [0] * bound
@@ -173,13 +99,19 @@ class HodgeTable:
 
 def primitive_hodge(n: int, d: int) -> HodgeTable:
     """Primitive Hodge numbers h0_{p,q} (p + q = n) of a smooth
-    degree-d hypersurface in projective (n+1)-space, n even."""
+    degree-d hypersurface in projective (n+1)-space, n even.
+
+    h0_{p,n-p} is the number of monomials x^b of degree s_p =
+    (n - p + 1) d - (n + 2) in the Jacobian ring of the Fermat
+    hypersurface, 0 <= b_i <= d - 2 (Griffiths), counted by
+    inclusion-exclusion.  Two checks guard the count: the alternating
+    sum against Hirzebruch's one-variable specialization, and
+    sum(h0) == N."""
     if n < 2 or n % 2 != 0:
         raise ValueError("n must be even and >= 2")
     if d < 3:
         raise ValueError("d must be >= 3")
-    grid = _hirzebruch_series(d, n + 1)
-    h0 = tuple(grid[p][n - p] for p in range(n + 1))
+    h0 = tuple(_jacobian_count(n, d, p) for p in range(n + 1))
     alt = sum((-1) ** p * h0[p] for p in range(n + 1))
     if alt != _alternating_check(d, n):
         raise ArithmeticError("alternating Hodge sum disagrees with the "

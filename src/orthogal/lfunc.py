@@ -50,6 +50,14 @@ INFINITY = "infinity"
 # ---------------------------------------------------------------------------
 
 
+def _c4_c6_delta(A: Poly, B: Poly):
+    """(c4, c6, Delta) of y^2 = x^3 + A x + B: -48 A, -864 B and
+    -64 A^3 - 432 B^2."""
+    F = A.field
+    return (A.scale(F.from_int(-48)), B.scale(F.from_int(-864)),
+            (A ** 3).scale(F.from_int(-64)) + (B * B).scale(F.from_int(-432)))
+
+
 class FqTCurve:
     """y^2 = x^3 + A x + B with A, B in F_q[t], p >= 5, Delta != 0."""
 
@@ -89,21 +97,19 @@ class FqTCurve:
                         c6.scale(field.from_int(-54)))
 
     def c4(self) -> Poly:
-        return self.A.scale(self.field.from_int(-48))
+        return _c4_c6_delta(self.A, self.B)[0]
 
     def c6(self) -> Poly:
-        return self.B.scale(self.field.from_int(-864))
+        return _c4_c6_delta(self.A, self.B)[1]
 
     def delta(self) -> Poly:
-        F = self.field
-        return (self.A ** 3).scale(F.from_int(-64)) \
-            + (self.B * self.B).scale(F.from_int(-432))
+        return _c4_c6_delta(self.A, self.B)[2]
 
     def j_is_nonconstant(self) -> bool:
         """Exact test: j = c4^3 / Delta reduces to a nonconstant
         rational function."""
-        num = self.c4() ** 3
-        den = self.delta()
+        c4, _, den = _c4_c6_delta(self.A, self.B)
+        num = c4 ** 3
         if num.is_zero():
             return False
         g = num.gcd(den)
@@ -243,10 +249,7 @@ def _infinity_model(E: FqTCurve):
 def _place_data(field: Fq, A: Poly, B: Poly, pi: Poly, label) -> PlaceData:
     """Local classification at the monic irreducible pi, for a model
     already minimal at pi."""
-    c4 = A.scale(field.from_int(-48))
-    c6 = B.scale(field.from_int(-864))
-    delta = (A ** 3).scale(field.from_int(-64)) \
-        + (B * B).scale(field.from_int(-432))
+    c4, c6, delta = _c4_c6_delta(A, B)
     vc4 = _valuation(c4, pi)
     vdelta = _valuation(delta, pi)
     symbol = _symbol_from_valuations(vc4, vdelta)
@@ -288,14 +291,12 @@ def _finite_minimal(E: FqTCurve):
     """(A, B) minimal at every finite place, plus PlaceData for each
     finite bad place of the minimal model."""
     A, B = E.A, E.B
-    delta = (A ** 3).scale(E.field.from_int(-64)) \
-        + (B * B).scale(E.field.from_int(-432))
+    delta = _c4_c6_delta(A, B)[2]
     _, facs = factor(delta)
     for pi, mult in facs:
         if mult >= 12:
             A, B = _minimalize_at(A, B, pi)
-    delta = (A ** 3).scale(E.field.from_int(-64)) \
-        + (B * B).scale(E.field.from_int(-432))
+    delta = _c4_c6_delta(A, B)[2]
     places = []
     for pi, _mult in facs:
         if (delta % pi).is_zero():
@@ -671,7 +672,7 @@ def l_function(E: FqTCurve, u: Poly | None = None, n: int = 1,
     N = inf_pd.f_v + sum(pd.f_v * pd.degree for pd in finite_places) - 4
     if N < 0:
         raise ValueError("conductor degree below 4; constant j part?")
-    Dm = (Am ** 3).scale(FQ.from_int(-64)) + (Bm * Bm).scale(FQ.from_int(-432))
+    Dm = _c4_c6_delta(Am, Bm)[2]
 
     S: list[int] = []          # S[k-1] = power sum at level k
     b: list[int] = [1]         # L coefficients so far

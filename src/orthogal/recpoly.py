@@ -33,7 +33,7 @@ import numpy as np
 from .errors import BudgetExceededError, NotReciprocalError
 from .ffield import (get_field, SquareClass, SQUARE, NONSQUARE, ZERO_CLASS,
                      _is_prime, _prime_factors)
-from .poly import Poly, factor_degrees, is_irreducible
+from .poly import Poly, factor_degrees
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +350,6 @@ class IrreducibleCountTable:
         self.total = sum(self.counts.values())
 
 
-_BUCKETS = [("Square", "Square"), ("Square", "NonSquare"),
-            ("NonSquare", "Square"), ("NonSquare", "NonSquare")]
-
-
 def _odd_prime_power(q: int) -> tuple[int, int]:
     """(p, e) with q = p^e for an odd prime p; ValueError otherwise."""
     factors = _prime_factors(q)
@@ -407,26 +403,3 @@ def count_irreducible_classes(q: int, m: int, budget: int = 10 ** 6) -> Irreduci
         counts[k] = c // m
     devs = {k: abs(4 * m * c - q ** m) for k, c in counts.items()}
     return IrreducibleCountTable(q, m, counts, devs, B.modulus)
-
-
-def count_irreducible_classes_direct(q: int, m: int) -> dict:
-    """Independent oracle: enumerate all monic degree-m polynomials over
-    F_q directly, test irreducibility, and bucket.  Exponential in m;
-    intended for cross-checks on small cells."""
-    p, e = _odd_prime_power(q)
-    F = get_field(p, e)
-    counts = {k: 0 for k in _BUCKETS}
-    for code in range(q ** m):
-        c = code
-        coeffs = []
-        for _ in range(m):
-            coeffs.append(c % q)
-            c //= q
-        h = Poly(coeffs + [1], F)
-        a, b = h.eval_int(2), h.eval_int(-2)
-        if a == 0 or b == 0:
-            continue
-        if not is_irreducible(h):
-            continue
-        counts[(F.square_class(a).tag, F.square_class(b).tag)] += 1
-    return counts

@@ -15,8 +15,7 @@ from orthogal.recpoly import (strip, reciprocal_sign, to_trace_form,
                               trace_lift, disc_identity, in_P_n, classify_H,
                               classes_from_degrees, in_F_class,
                               count_irreducible_classes,
-                              count_irreducible_classes_direct,
-                              _reachable_classes)
+                              _odd_prime_power, _reachable_classes)
 
 
 def _rand_h(rng, field, n, int_range=8):
@@ -268,6 +267,33 @@ def test_lift_dichotomy_small_exhaustive():
 # ---------------------------------------------------------------------------
 # Irreducible bucket counts
 # ---------------------------------------------------------------------------
+
+
+_BUCKETS = [("Square", "Square"), ("Square", "NonSquare"),
+            ("NonSquare", "Square"), ("NonSquare", "NonSquare")]
+
+
+def count_irreducible_classes_direct(q: int, m: int) -> dict:
+    """Independent oracle: enumerate all monic degree-m polynomials over
+    F_q directly, test irreducibility, and bucket.  Exponential in m;
+    intended for cross-checks on small cells."""
+    p, e = _odd_prime_power(q)
+    F = get_field(p, e)
+    counts = {k: 0 for k in _BUCKETS}
+    for code in range(q ** m):
+        c = code
+        coeffs = []
+        for _ in range(m):
+            coeffs.append(c % q)
+            c //= q
+        h = Poly(coeffs + [1], F)
+        a, b = h.eval_int(2), h.eval_int(-2)
+        if a == 0 or b == 0:
+            continue
+        if not is_irreducible(h):
+            continue
+        counts[(F.square_class(a).tag, F.square_class(b).tag)] += 1
+    return counts
 
 
 @pytest.mark.parametrize("q,m", [(3, 1), (5, 1), (7, 1), (9, 1),

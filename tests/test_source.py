@@ -5,7 +5,9 @@
   benchmark run ``cli.dispatch`` in-process and read the last line of
   stdout as their result, so a stray line would corrupt it;
 * only ``ffield`` reads the private tables of ``Fq`` (``_exp``, ``_log``,
-  ...); other modules go through its scalar and vectorized ops."""
+  ...); other modules go through its scalar and vectorized ops;
+* ``hodge`` computes in integers only: no float constant and no true
+  division, so the mod-4 signature congruence is checked exactly."""
 
 import ast
 from pathlib import Path
@@ -74,3 +76,13 @@ def test_only_ffield_reads_the_field_tables():
              for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in private]
     assert not found, f"Fq tables read outside ffield: {found}"
+
+
+def test_hodge_is_integer_only():
+    tree = ast.parse((SOURCE_DIR / "hodge.py").read_text())
+    found = [f"hodge.py:{node.lineno}" for node in ast.walk(tree)
+             if (isinstance(node, ast.Constant)
+                 and isinstance(node.value, (float, complex)))
+             or (isinstance(node, (ast.BinOp, ast.AugAssign))
+                 and isinstance(node.op, ast.Div))]
+    assert not found, f"float constants or true division in hodge: {found}"
