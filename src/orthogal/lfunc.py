@@ -21,14 +21,17 @@ subfield embeddings run on the vectorized ops of the extension field's
 ``Fq`` (``vmul``, ``vadd``, ``veval``, ``vlog``, ``vexp``, ``vchi``),
 whose exp/log tables that field builds on first use and keeps (see
 ``ffield`` for the size bounds).  This module caches only the embedding
-tables and the fiber traces of each base model.
+tables and, per base model, its minimal model, its infinity data and its
+fiber traces, which every twist of the model reads.  The sign of a
+multiplicative place is computed in F_q[t]/(pi) by Euler's criterion,
+so no residue-field table is built for it.
 """
 
 from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from math import gcd, prod
 
@@ -38,7 +41,7 @@ from .errors import BudgetExceededError, NotSeparableError
 from .ffield import Fq, get_field, conway_like_modulus
 from .galclass import (KField, classify, group_constraint, _batch_gcd_degrees,
                        _squarefree_part)
-from .poly import Poly, discriminant, factor
+from .poly import Poly, discriminant, factor, _pow_mod
 from .signedperm import WGroup
 
 #: Sentinel naming the place at infinity (uniformizer 1/t).
@@ -120,15 +123,21 @@ class FqTCurve:
                 f"B={list(self.B.coeffs)})")
 
 
+def _check_twist(u: Poly, check_squarefree: bool = True) -> Poly:
+    """u itself, once it is known to be a valid twist parameter."""
+    if u.is_zero():
+        raise ValueError("twist by zero")
+    if check_squarefree and u.degree >= 1 and not u.is_squarefree():
+        raise ValueError("twist parameter must be squarefree")
+    return u
+
+
 def quadratic_twist(E: FqTCurve, u: Poly,
                     check_squarefree: bool = True) -> FqTCurve:
     """The twist y^2 = x^3 + A u^2 x + B u^3."""
     if u.field != E.field:
         u = _embed_poly(u, E.field)
-    if u.is_zero():
-        raise ValueError("twist by zero")
-    if check_squarefree and u.degree >= 1 and not u.is_squarefree():
-        raise ValueError("twist parameter must be squarefree")
+    _check_twist(u, check_squarefree)
     return FqTCurve(E.field, E.A * u * u, E.B * u * u * u)
 
 
@@ -230,20 +239,36 @@ def _minimalize_at(A: Poly, B: Poly, pi: Poly):
     return A, B
 
 
-def _infinity_model(E: FqTCurve):
+def _infinity_model(A: Poly, B: Poly):
     """Short model over F_q[s] around s = 0 after the substitution
     t = 1/s: A_s = s^{4M} A(1/s), B_s = s^{6M} B(1/s)."""
-    F = E.field
-    da = max(E.A.degree, 0)
-    db = max(E.B.degree, 0)
+    F = A.field
+    da = max(A.degree, 0)
+    db = max(B.degree, 0)
     M = max(-(-da // 4), -(-db // 6))
     ca = [0] * (4 * M + 1)
-    for i, c in enumerate(E.A.coeffs):
+    for i, c in enumerate(A.coeffs):
         ca[4 * M - i] = c
     cb = [0] * (6 * M + 1)
-    for i, c in enumerate(E.B.coeffs):
+    for i, c in enumerate(B.coeffs):
         cb[6 * M - i] = c
     return Poly(ca, F), Poly(cb, F)
+
+
+@functools.lru_cache(maxsize=32)
+def _infinity_data(A: Poly, B: Poly, d: int):
+    """(PlaceData, constants) at infinity of the twist of
+    y^2 = x^3 + A x + B by t^d (d = 0: the curve itself).  The constants
+    are (A_s(0), B_s(0)) of the minimal model at s = 1/t for an I0
+    fiber, else None.  This is the one implementation of infinity data,
+    cached per model; l_function scales it to any twist of degree d."""
+    F = A.field
+    td = Poly([0] * d + [1], F)
+    s = Poly.x(F)
+    As, Bs = _minimalize_at(*_infinity_model(A * td * td, B * td * td * td),
+                            s)
+    pd = _place_data(F, As, Bs, s, INFINITY)
+    return pd, ((As(0), Bs(0)) if pd.kodaira == "I0" else None)
 
 
 def _place_data(field: Fq, A: Poly, B: Poly, pi: Poly, label) -> PlaceData:
@@ -259,9 +284,7 @@ def _place_data(field: Fq, A: Poly, B: Poly, pi: Poly, label) -> PlaceData:
         a_v = int(_fiber_traces(kv, [_embed_poly(A, kv)(t0)],
                                 [_embed_poly(B, kv)(t0)])[0])
     elif _is_multiplicative(symbol):
-        kv, t0 = _residue_field_and_root(field, pi)
-        val = _embed_poly(c6, kv)(t0)
-        a_v = kv.square_class(kv.neg(val)).sign
+        a_v = _residue_chi(-c6, pi)
     else:
         a_v = 0
     return PlaceData(place=label, degree=pi.degree, kodaira=symbol,
@@ -273,10 +296,7 @@ def kodaira_at(E: FqTCurve, place) -> PlaceData:
     at INFINITY (handled through t = 1/s and re-minimalization)."""
     F = E.field
     if place == INFINITY:
-        As, Bs = _infinity_model(E)
-        s = Poly.x(F)
-        As, Bs = _minimalize_at(As, Bs, s)
-        return _place_data(F, As, Bs, s, INFINITY)
+        return _infinity_data(E.A, E.B, 0)[0]
     pi = place
     if not isinstance(pi, Poly) or pi.field != F:
         raise ValueError("finite place must be a polynomial over the "
@@ -288,8 +308,8 @@ def kodaira_at(E: FqTCurve, place) -> PlaceData:
 
 
 def _finite_minimal(E: FqTCurve):
-    """(A, B) minimal at every finite place, plus PlaceData for each
-    finite bad place of the minimal model."""
+    """(A, B) minimal at every finite place, its Delta, and PlaceData
+    for each finite bad place of the minimal model."""
     A, B = E.A, E.B
     delta = _c4_c6_delta(A, B)[2]
     _, facs = factor(delta)
@@ -301,7 +321,7 @@ def _finite_minimal(E: FqTCurve):
     for pi, _mult in facs:
         if (delta % pi).is_zero():
             places.append(_place_data(E.field, A, B, pi, pi))
-    return A, B, places
+    return A, B, delta, places
 
 
 @functools.lru_cache(maxsize=32)
@@ -310,14 +330,14 @@ def _minimal_model(A: Poly, B: Poly):
     (a Poly hashes by its field and coefficients): every twist in a
     survey starts from the same untwisted model.  The result is shared,
     so the places come back as a tuple of frozen PlaceData."""
-    Am, Bm, places = _finite_minimal(FqTCurve(A.field, A, B))
-    return Am, Bm, tuple(places)
+    Am, Bm, Dm, places = _finite_minimal(FqTCurve(A.field, A, B))
+    return Am, Bm, Dm, tuple(places)
 
 
 def finite_bad_places(E: FqTCurve):
     """PlaceData for every finite place of bad reduction (of the
     globally minimal finite model)."""
-    return list(_minimal_model(E.A, E.B)[2])
+    return list(_minimal_model(E.A, E.B)[3])
 
 
 def bad_modulus(E: FqTCurve) -> Poly:
@@ -348,8 +368,7 @@ def _invariants(E: FqTCurve, d: int, fps):
     """invariants_Nd_Dd_B from the finite bad places fps of E."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    td = Poly([0] * d + [1], E.field)
-    inf = kodaira_at(quadratic_twist(E, td, check_squarefree=False), INFINITY)
+    inf = _infinity_data(E.A, E.B, d)[0]
     Nd = inf.f_v + sum(pd.f_v * pd.degree for pd in fps) - 4 + 2 * d
     Dd = inf.gamma_v * prod(pd.gamma_v ** pd.degree for pd in fps)
     B = sum(pd.b_v * pd.degree for pd in fps)
@@ -409,9 +428,26 @@ def _embed_poly(f: Poly, G: Fq) -> Poly:
     return Poly([int(emb[c]) for c in f.coeffs], G)
 
 
+def _residue_chi(g: Poly, pi: Poly) -> int:
+    """chi(g mod pi) in the residue field F_q[t]/(pi) = F_{q^r}: by
+    Euler's criterion g^((q^r - 1)/2) mod pi is 1, -1 or 0.  The value
+    is chi(g(t0)) at every root t0 of pi, and no table of F_{q^r} is
+    built."""
+    F = pi.field
+    power = _pow_mod(g, (F.q ** pi.degree - 1) // 2, pi).coeffs
+    if not power:
+        return 0
+    if power == (1,):
+        return 1
+    if power == (F.neg(1),):
+        return -1
+    raise ValueError("place polynomial is not irreducible")
+
+
 def _residue_field_and_root(F: Fq, pi: Poly):
     """The residue field of F_q[t]/(pi) as F_{q^r}, together with the
-    canonical (least-code) root of pi there."""
+    canonical (least-code) root of pi there; the fiber of a good place
+    is counted over it."""
     r = pi.degree
     if r == 1:
         t0 = F.neg(F.mul(pi.coeffs[0], F.inv(pi.coeffs[1])))
@@ -575,7 +611,9 @@ def _power_sum(FQ: Fq, k: int, Am: Poly, Bm: Poly, Dm: Poly,
 
     When u is given, (Am, Bm, Dm) describe the untwisted base model and
     the good-fiber traces are its cached traces flipped by chi(u(t0));
-    finite_places must then already carry the twisted local data.
+    finite_places must then already carry the twisted local data; only
+    its multiplicative places enter S_k, so the I0* places at the roots
+    of u need not be listed.
     """
     Fk = _extension_field(FQ, k)
     tr = _base_fiber_traces(FQ, k, Am, Bm, Dm)
@@ -599,29 +637,21 @@ def _power_sum(FQ: Fq, k: int, Am: Poly, Bm: Poly, Dm: Poly,
     return S
 
 
-def _twisted_places(FQ: Fq, places0, u: Poly):
-    """Local data of the twist by u, assuming u is squarefree and
-    coprime to the base curve's bad places: base places keep their
-    symbol with the multiplicative traces flipped by chi(u(t0)), and
-    each root of u becomes an I0* place."""
-    out = []
-    for pd in places0:
-        sym = pd.kodaira
-        if _is_multiplicative(sym):
-            kv, t0 = _residue_field_and_root(FQ, pd.place)
-            s = kv.square_class(_embed_poly(u, kv)(t0)).sign
-            out.append(PlaceData(place=pd.place, degree=pd.degree,
-                                 kodaira=sym, f_v=pd.f_v,
-                                 gamma_v=pd.gamma_v, b_v=pd.b_v,
-                                 a_v=s * pd.a_v))
-        else:
-            out.append(pd)
-    _, ufacs = factor(u)
-    for rho, _mult in ufacs:
-        f_v, gamma_v, b_v = kodaira_table_row("I0*")
-        out.append(PlaceData(place=rho, degree=rho.degree, kodaira="I0*",
-                             f_v=f_v, gamma_v=gamma_v, b_v=b_v, a_v=0))
-    return out
+def _twisted_places(places0, u: Poly):
+    """The base curve's bad places, with their local data under the
+    twist by u, for u squarefree and coprime to them.
+
+    At such a place u is a unit, so the twist keeps the symbol and
+    (f_v, gamma_v, b_v), and a multiplicative a_v = chi(-c6) becomes
+    chi(-c6 u^3) = chi(u mod pi) a_v.  The roots of u are the twist's
+    other finite bad places, and they are not listed: at a root rho
+    (simple, u squarefree) the base model is good, and twisting by a
+    uniformizer multiplies (c4, Delta) by rho^2 and rho^6, so the fiber
+    is I0* with f_v = 2 and a_v = 0.  Together they add exactly 2 deg u
+    to N and nothing to any power sum S_k, with no need to factor u.
+    """
+    return [replace(pd, a_v=_residue_chi(u, pd.place) * pd.a_v)
+            if _is_multiplicative(pd.kodaira) else pd for pd in places0]
 
 
 def l_function(E: FqTCurve, u: Poly | None = None, n: int = 1,
@@ -636,7 +666,23 @@ def l_function(E: FqTCurve, u: Poly | None = None, n: int = 1,
 
     Twists coprime to the bad places share one cached set of base-model
     fiber traces, so a whole twist family costs little more than a
-    single count per level.
+    single count per level.  Such a twist does only its own work: the
+    sign chi(u mod pi) at each multiplicative place (_twisted_places)
+    and the chi(u(t0)) of its power sums; the rest is read from the
+    base model.  A twist u sharing a bad place builds its own model.
+
+    Infinity needs no twisted model either.  Let u have degree d and
+    leading coefficient c, and put w(s) = s^d u(1/s) = c + ... + u_0 s^d.
+    At s = 1/t the twist by u is the twist by t^d with A_s, B_s
+    multiplied by w^2, w^3.  w is a unit at s = 0 with w(0) = c, and
+    for p odd Hensel's lemma makes w/c a square in F_Q[[s]], so over
+    the completion at infinity the twist by u is the twist by t^d
+    twisted again by the constant c.  Its minimal model at infinity is
+    that of the t^d twist scaled by (c^2, c^3): the symbol, f_v, gamma_v
+    and b_v are unchanged, a_v is multiplied by chi(c), and the I0
+    constants (a0, b0) become (c^2 a0, c^3 b0).  The cached
+    _infinity_data of the t^d twist thus serves every u of degree d
+    (u = None is d = 0, c = 1).
     """
     F = E.field
     if n < 1:
@@ -645,34 +691,30 @@ def l_function(E: FqTCurve, u: Poly | None = None, n: int = 1,
     Q = FQ.q
     A = _embed_poly(E.A, FQ)
     B = _embed_poly(E.B, FQ)
-    Ebase = FqTCurve(FQ, A, B)
+    Am, Bm, Dm, finite_places = _minimal_model(A, B)
+    u_count = None
     if u is not None:
-        u = _embed_poly(u, FQ)
-        Eu = quadratic_twist(Ebase, u)
-    else:
-        Eu = Ebase
-    Am0, Bm0, places0 = _minimal_model(A, B)
-    fast = u is not None and all(u.gcd(pd.place).degree == 0
-                                 for pd in places0)
-    if fast:
-        Am, Bm = Am0, Bm0
-        finite_places = _twisted_places(FQ, places0, u)
-        u_count = u
-    elif u is None:
-        Am, Bm, finite_places = Am0, Bm0, places0
-        u_count = None
-    else:
-        Am, Bm, finite_places = _finite_minimal(Eu)
-        u_count = None
-    inf_pd = kodaira_at(Eu, INFINITY)
-    inf_consts = None
-    if inf_pd.kodaira == "I0":
-        As, Bs = _minimalize_at(*_infinity_model(Eu), Poly.x(FQ))
-        inf_consts = (As(0), Bs(0))
+        u = _check_twist(_embed_poly(u, FQ))
+        if all(u.gcd(pd.place).degree == 0 for pd in finite_places):
+            finite_places = _twisted_places(finite_places, u)
+            u_count = u
+        else:
+            Am, Bm, Dm, finite_places = _finite_minimal(
+                quadratic_twist(FqTCurve(FQ, A, B), u,
+                                check_squarefree=False))
+    inf_pd, inf_consts = _infinity_data(A, B, 0 if u is None else u.degree)
+    c = 1 if u is None else u.lc
+    if FQ.square_class(c).sign < 0:
+        inf_pd = replace(inf_pd, a_v=-inf_pd.a_v)
+    if inf_consts is not None:
+        c2 = FQ.mul(c, c)
+        inf_consts = (FQ.mul(c2, inf_consts[0]),
+                      FQ.mul(FQ.mul(c2, c), inf_consts[1]))
     N = inf_pd.f_v + sum(pd.f_v * pd.degree for pd in finite_places) - 4
+    if u_count is not None:
+        N += 2 * u.degree     # its unlisted I0* places (_twisted_places)
     if N < 0:
         raise ValueError("conductor degree below 4; constant j part?")
-    Dm = _c4_c6_delta(Am, Bm)[2]
 
     S: list[int] = []          # S[k-1] = power sum at level k
     b: list[int] = [1]         # L coefficients so far
@@ -756,10 +798,15 @@ def _twist_family(E: FqTCurve, d: int, n: int = 1, places=None):
 
     Candidates run in enumeration order: the low coefficients are the
     base-Q digits of a counter, and the leading coefficient 1..Q-1 runs
-    fastest.  Over a prime field one batched Euclid over all candidates
-    keeps the rows with deg gcd(u, u') = 0 and deg gcd(u, m) = 0 for the
-    bad modulus m (a zero u' leaves gcd(u, u') = u).  Extension fields
-    test each candidate as a Poly.
+    fastest.  Only the Q^d monic candidates are tested: for c in F_Q^*,
+    gcd(c u, (c u)') = gcd(u, u') and gcd(c u, m) = gcd(u, m) up to a
+    unit, so u and c u pass or fail together.  The row (counter, lead)
+    takes the verdict of its monic associate u / lead, whose low digits
+    are the counter's digits times lead^-1.  Over a prime field one
+    batched Euclid keeps the monic rows with deg gcd(u, u') = 0 and a
+    second one those with deg gcd(u, m) = 0 for the bad modulus m (a
+    zero u' leaves gcd(u, u') = u); extension fields test each monic
+    candidate as a Poly.
     """
     if d < 0:
         raise ValueError("d must be >= 0")
@@ -769,21 +816,29 @@ def _twist_family(E: FqTCurve, d: int, n: int = 1, places=None):
     if places is None:
         places = finite_bad_places(E)
     m = _embed_poly(_places_product(F, places), FQ)
-    code, lead = np.divmod(np.arange(Q ** d * (Q - 1), dtype=np.int64), Q - 1)
-    rows = np.empty((len(code), d + 1), dtype=np.int64)
+    code = np.arange(Q ** d, dtype=np.int64)
+    monic = np.ones((Q ** d, d + 1), dtype=np.int64)
     for i in range(d):
-        code, rows[:, i] = np.divmod(code, Q)
-    rows[:, d] = lead + 1
+        code, monic[:, i] = np.divmod(code, Q)
     if FQ.e > 1:
-        us = (Poly(r, FQ) for r in rows.tolist())
-        return FQ, rows[np.array([u.is_squarefree() and u.gcd(m).degree == 0
-                                  for u in us], dtype=bool)]
-    mod = np.full(len(rows), Q, dtype=np.int64)
-    deriv = np.zeros_like(rows)
-    deriv[:, :d] = rows[:, 1:] * np.arange(1, d + 1) % Q
-    rows = rows[_batch_gcd_degrees(rows, deriv, mod) == 0]
-    ms = np.tile(np.array(m.coeffs, dtype=np.int64), (len(rows), 1))
-    return FQ, rows[_batch_gcd_degrees(rows, ms, mod[:len(rows)]) == 0]
+        us = (Poly(r, FQ) for r in monic.tolist())
+        ok = np.array([u.is_squarefree() and u.gcd(m).degree == 0
+                       for u in us], dtype=bool)
+    else:
+        mod = np.full(len(monic), Q, dtype=np.int64)
+        deriv = np.zeros_like(monic)
+        deriv[:, :d] = monic[:, 1:] * np.arange(1, d + 1) % Q
+        ok = _batch_gcd_degrees(monic, deriv, mod) == 0
+        idx = np.nonzero(ok)[0]
+        ms = np.tile(np.array(m.coeffs, dtype=np.int64), (len(idx), 1))
+        ok[idx] = _batch_gcd_degrees(monic[idx], ms, mod[:len(idx)]) == 0
+    rows = np.repeat(monic, Q - 1, axis=0)
+    lead = np.tile(np.arange(1, Q, dtype=np.int64), Q ** d)
+    rows[:, d] = lead
+    inv = np.array([0] + [FQ.inv(c) for c in range(1, Q)], dtype=np.int64)
+    assoc = FQ.vmul(rows[:, :d], inv[lead][:, None]) \
+        @ Q ** np.arange(d, dtype=np.int64)
+    return FQ, rows[ok[assoc]]
 
 
 def enumerate_twists(E: FqTCurve, d: int, n: int = 1):

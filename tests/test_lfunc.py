@@ -3,13 +3,15 @@ point counts, exact L-polynomials with their functional equations, and
 the twist-family machinery on a fully pinned degree-one family."""
 
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from orthogal import ffield, lfunc
 from orthogal.errors import BudgetExceededError, NotSeparableError
 from orthogal.ffield import get_field
-from orthogal.poly import Poly
+from orthogal.poly import Poly, resultant
 from orthogal.signedperm import WGroup
 from orthogal.lfunc import (FqTCurve, quadratic_twist, INFINITY,
                             kodaira_table_row, kodaira_at,
@@ -20,9 +22,9 @@ from orthogal.lfunc import (FqTCurve, quadratic_twist, INFINITY,
                             _symbol_from_valuations, _twist_family)
 
 
-def _legendre(q=5):
-    """y^2 = x(x - 1)(x - t) in short form."""
-    F = get_field(q)
+def _legendre(q=5, e=1):
+    """y^2 = x(x - 1)(x - t) in short form, over F_{q^e}."""
+    F = get_field(q, e)
     return FqTCurve.from_a_invariants(F, [0], [-1, -1], [0], [0, 1], [0])
 
 
@@ -149,20 +151,81 @@ def test_legendre_local_data_pinned():
 
 def test_cubic_place_keeps_the_add_tables_small():
     """y^2 = x(x - 1)(x - g) over F_101 with g = 1 + t^2 + t^3: the place
-    g is cubic and multiplicative, so its residue field F_{101^3} (about
-    10^6 codes) is searched for a root, and no digit-block add table of
-    that field may exceed ADD_TABLE_MAX entries (a two-digit block
-    would make a table of 101^4 entries, 832 MB)."""
+    g is cubic and multiplicative.  Its sign is read in F_101[t]/(g), so
+    no table of the residue field F_{101^3} (about 10^6 codes) is built;
+    when vadd builds that field's tables, no digit-block add table may
+    exceed ADD_TABLE_MAX entries (a two-digit block would make a table
+    of 101^4 entries, 832 MB)."""
     F = get_field(101)
     E = FqTCurve.from_a_invariants(F, [0], [-2, 0, -1, -1], [0],
                                    [1, 0, 1, 1], [0])
     fps = {tuple(pd.place.coeffs): pd for pd in finite_bad_places(E)}
     assert fps[(1, 0, 1, 1)].kodaira == "I2"
-    assert fps[(1, 0, 1, 1)].a_v in (1, -1)
+    assert fps[(1, 0, 1, 1)].a_v == 1
     assert fps[(0, 1)].kodaira == "I4" and fps[(1, 1)].kodaira == "I2"
-    tables = get_field(101, 3)._adds
+    K = get_field(101, 3)
+    assert K.vadd(np.array([1, K.q - 1]), np.array([K.q - 1, 2])).shape == (2,)
+    tables = K._adds
     assert len(tables) == 3
     assert all(t.size <= ffield.ADD_TABLE_MAX for _, t in tables)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a refused function was called")
+
+
+def test_degree_nine_place_reads_no_residue_field(monkeypatch):
+    """y^2 = x^3 + (t^3 + t + 1) x + (2t + 6) over F_7: Delta is
+    irreducible of degree 9, so the curve has one I1 place, whose
+    residue field F_{7^9} has 4 * 10^7 codes.  Its sign is chi(-c6) by
+    Euler's criterion in F_7[t]/(pi), with no table of that field; it
+    equals chi_7 of the norm Res(pi, -c6) = 6, since chi of F_{7^9}
+    is chi_7 of the norm."""
+    monkeypatch.setattr(lfunc, "_residue_field_and_root", _refuse)
+    F = get_field(7)
+    E = FqTCurve.from_coeff_lists(F, [1, 1, 0, 1], [6, 2])
+    (pd,) = finite_bad_places(E)
+    assert (pd.kodaira, pd.degree, pd.a_v) == ("I1", 9, -1)
+    norm = resultant(pd.place, -E.c6())
+    assert norm == 6 and F.square_class(norm).sign == -1
+
+
+def _residue_root_chi(g, pi):
+    """chi(g(t0)) at the canonical root t0 of pi in its residue field,
+    found by evaluating pi at every code: the reference for the sign by
+    Euler's criterion."""
+    kv, t0 = lfunc._residue_field_and_root(pi.field, pi)
+    val = _embed_poly(g, kv)(t0)
+    return kv.square_class(val).sign if val else 0
+
+
+@pytest.mark.parametrize("p,e", [(5, 1), (7, 1), (11, 1), (13, 1), (5, 2),
+                                 (7, 2)])
+def test_multiplicative_sign_matches_the_residue_root(p, e):
+    # seeded curves with deg A <= 2 and deg B <= 3 over F_{p^e}; each
+    # multiplicative place of degree <= 3 checks a_v = chi(-c6) and the
+    # twist sign chi(u mod pi) against the residue-root path
+    F = get_field(p, e)
+    rng = random.Random(100 * p + e)
+    seen = set()
+    for _ in range(40):
+        A = Poly([rng.randrange(F.q) for _ in range(3)], F)
+        B = Poly([rng.randrange(F.q) for _ in range(4)], F)
+        try:
+            FqTCurve(F, A, B)
+        except ValueError:      # singular model
+            continue
+        Am, Bm, _, places = lfunc._minimal_model(A, B)
+        c6 = lfunc._c4_c6_delta(Am, Bm)[1]
+        for pd in places:
+            if pd.degree > 3 or not lfunc._is_multiplicative(pd.kodaira):
+                continue
+            assert pd.a_v == _residue_root_chi(-c6, pd.place)
+            u = Poly([rng.randrange(F.q) for _ in range(4)], F)
+            assert lfunc._residue_chi(u, pd.place) == \
+                _residue_root_chi(u, pd.place)
+            seen.add(pd.degree)
+    assert seen == {1, 2, 3}
 
 
 def test_legendre_invariants_pinned():
@@ -262,25 +325,139 @@ def test_degree_one_family_pinned():
     assert seen == {(1, 5): 6, (1, -5): 6}
 
 
-def test_l_function_paths_agree():
+# y^2 = x^3 + a x + b0 + b1 t: Delta is an irreducible quadratic, one I1
+# place of degree 2, and the t^d twists for d = 1, 2, 3 are additive at
+# infinity
+_GENERAL = {5: ([4], [0, 4]), 7: ([5], [6, 5]), 11: ([4], [10, 3])}
+
+
+def _paths_curve(family, q):
+    if q == 25:
+        return _legendre(5, 2)
+    if family == "legendre":
+        return _legendre(q)
+    if family == "seeded":      # I0 at infinity for odd d
+        return _seeded_curve("legendre", q, 73)
+    return FqTCurve.from_coeff_lists(get_field(q), *_GENERAL[q])
+
+
+def _shared_twist(E, d, rng):
+    """A squarefree u of degree d divisible by a bad place of degree at
+    most d, or None when there is no such u."""
+    F = E.field
+    for pd in finite_bad_places(E):
+        if pd.degree > d:
+            continue
+        for _ in range(50):
+            rest = Poly([rng.randrange(F.q) for _ in range(d - pd.degree)]
+                        + [rng.randrange(1, F.q)], F)
+            u = pd.place * rest
+            if u.is_squarefree():
+                return u
+    return None
+
+
+#: the full count is run while its top level costs Q^(2 N) <= 5^10
+PATHS_FULL_MAX = 5 ** 10
+# the general curve at q = 11, d = 3 is left out: its twists often need
+# level 4 to fix the root number, about 20 s over F_{11^4}
+PATHS_CASES = [(family, q, d) for family in ("legendre", "general")
+               for q in (5, 7, 11) for d in (1, 2, 3)
+               if (family, q, d) != ("general", 11, 3)]
+PATHS_CASES += [("seeded", 7, 1), ("seeded", 7, 3), ("legendre", 25, 1)]
+
+
+@pytest.mark.parametrize("family,q,d", PATHS_CASES)
+def test_l_function_paths_agree(family, q, d):
     # fast (shared base traces), generic (explicit twisted model) and
-    # full (no functional-equation completion) must agree exactly
-    E = _legendre()
-    rng = random.Random(1)
-    us = enumerate_twists(E, 2)
-    assert len(us) == 52
-    for u in rng.sample(us, 8):
+    # full (no functional-equation completion) must agree exactly, for
+    # twists with a square and a non-square leading coefficient and one
+    # sharing a bad place (which takes the generic path inside l_function)
+    E = _paths_curve(family, q)
+    F = E.field
+    rng = random.Random(100 * q + d)
+    FQ, rows = _twist_family(E, d)
+    by_sign = {1: [], -1: []}
+    for r in rows.tolist():
+        by_sign[F.square_class(r[-1]).sign].append(r)
+    us = [Poly(rng.choice(by_sign[s]), FQ) for s in (1, -1)]
+    shared = _shared_twist(E, d, rng)
+    if shared is not None:
+        us.append(shared)
+    for u in us:
+        Eu = quadratic_twist(E, u)
         fast = l_function(E, u)
-        generic = l_function(quadratic_twist(E, u))
-        full = l_function(E, u, full=True)
-        assert fast.coeffs == generic.coeffs == full.coeffs
-        assert fast.epsilon == generic.epsilon == full.epsilon
-        assert fast.N_d == 4
+        generic = l_function(Eu)
+        assert fast.coeffs == generic.coeffs
+        assert fast.epsilon == generic.epsilon
+        N, Q = fast.N_d, fast.Q
+        if Q ** (2 * N) <= PATHS_FULL_MAX:
+            full = l_function(E, u, full=True)
+            assert (full.coeffs, full.epsilon) == (fast.coeffs, fast.epsilon)
         assert fast.inverse_root_abs_error() < 1e-7
         # inverse roots have absolute value Q, so |b_N| = Q^N
-        assert abs(fast.coeffs[-1]) == 5 ** 4
+        assert abs(fast.coeffs[-1]) == Q ** N
+        # infinity data of the t^d twist, scaled by c = lc(u), is the
+        # twisted curve's own
+        pd, consts = lfunc._infinity_data(E.A, E.B, u.degree)
+        c = u.lc
+        assert replace(pd, a_v=F.square_class(c).sign * pd.a_v) == \
+            kodaira_at(Eu, INFINITY)
+        if consts is not None:
+            c2 = F.mul(c, c)
+            assert (F.mul(c2, consts[0]), F.mul(F.mul(c2, c), consts[1])) == \
+                lfunc._infinity_data(Eu.A, Eu.B, 0)[1]
     with pytest.raises(ValueError):
         l_function(E, n=0)
+
+
+def test_paths_cases_cover_every_infinity_type():
+    kinds = set()
+    for family, q, d in PATHS_CASES:
+        E = _paths_curve(family, q)
+        sym = lfunc._infinity_data(E.A, E.B, d)[0].kodaira
+        kinds.add("I0" if sym == "I0" else
+                  "multiplicative" if lfunc._is_multiplicative(sym)
+                  else "additive")
+    assert kinds == {"I0", "multiplicative", "additive"}
+
+
+# (curve, d, first twist, {twist row: pinned (coeffs, epsilon)}): the
+# Legendre curve is I2 at infinity for odd d, the seeded one I0, and the
+# general curve has a place of degree 2 and is II* at infinity for d = 2
+_WARM_CASES = [
+    (lambda: _legendre(7), 3, [1, 0, 0, 1], {
+        (1, 0, 0, 2): ((1, -3, -7, 49, 1029, -16807), -1),
+        (1, 0, 0, 3): ((1, 1, -35, 245, -343, -16807), -1),
+        (4, 3, 3, 5): ((1, 5, 14, -98, -1715, -16807), -1),
+        (6, 6, 6, 6): ((1, 9, 14, -98, -3087, -16807), -1)}),
+    (lambda: _seeded_curve("legendre", 7, 73), 3, [1, 0, 0, 2], {
+        (1, 0, 0, 3): ((1, -9, 21, 147, -3087, 16807), 1),
+        (5, 3, 3, 1): ((1, 11, 49, 343, 3773, 16807), 1),
+        (6, 6, 6, 6): ((1, 3, 42, 294, 1029, 16807), 1)}),
+    (lambda: _paths_curve("general", 7), 2, [1, 0, 1], {
+        (1, 0, 3): ((1, -3, -28, -147, 2401), 1),
+        (1, 0, 4): ((1, 10, 0, -490, -2401), -1),
+        (6, 6, 6): ((1, 0, -35, 0, 2401), 1)}),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_WARM_CASES)))
+def test_warm_twist_does_no_base_model_work(case, monkeypatch):
+    # once one twist of a degree has run, a fast-path twist of that
+    # degree reads its model, places and infinity data from the caches:
+    # it factors nothing, builds no twisted curve and no residue field
+    make, d, first, pinned = _WARM_CASES[case]
+    E = make()
+    F = E.field
+    l_function(E, Poly(first, F))
+    for name in ("factor", "kodaira_at", "quadratic_twist",
+                 "_residue_field_and_root"):
+        monkeypatch.setattr(lfunc, name, _refuse)
+    for row, want in pinned.items():
+        L = l_function(E, Poly(list(row), F))
+        assert (L.coeffs, L.epsilon) == want
+    assert {F.square_class(row[-1]).sign for row in pinned} == {1, -1}
 
 
 def test_l_function_extension_base():
