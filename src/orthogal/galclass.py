@@ -28,8 +28,10 @@ certificate factors few primes.
 Each block is one kernel pass over the rows of f mod l: the Frobenius
 chain x^(l^k) mod f gives the factor degrees of f, and the same chain
 started at y = x + 1/x gives those of h, since F_l[x]/(f) is free of
-rank 2 over F_l[y]/(h).  The kernel runs on int64 arrays, every prime of
-a block at once (see the notes above _max_kernel_prime).
+rank 2 over F_l[y]/(h).  The level degrees deg gcd(x^(l^k) - x, f) come
+from 2d - 1 polynomial divsteps per row (Bernstein and Yang), with no
+per-row branching.  The kernel runs on int64 arrays, every prime of a
+block at once (see the notes above _max_kernel_prime).
 
 The companion validator compares the joint factorization statistics of
 (h mod l, f mod l) over many primes against the exact conjugacy-class
@@ -78,8 +80,9 @@ def primes_up_to(bound: int):
 # Coefficients for all primes are kept in int64 matrices (one row per
 # prime, with that row's modulus), so every stage runs vectorized across
 # the primes.  The Frobenius powers x^(l^k) mod f come from one
-# square-and-multiply; then one batched Euclid takes the degrees of
-# g_k = gcd(x^(l^k) - x, f) for every prime and every level k at once.
+# square-and-multiply; then one batched gcd kernel (divsteps, see
+# _batch_gcd_degrees) takes the degrees of g_k = gcd(x^(l^k) - x, f)
+# for every prime and every level k at once.
 # A good row is squarefree mod l, so deg g_k = sum_{j | k} j n_j, where
 # n_j counts the irreducible factors of degree j; the levels need no
 # division by the factors already found.
@@ -91,8 +94,8 @@ def primes_up_to(bound: int):
 # written in x.  Frobenius is a ring map, so b = y^(l^k) - y is the
 # chain started at y, less y; and x^(-1) = -(c_1 + c_2 x + ... +
 # x^(2n-1)) mod f because f(0) = 1.  The levels of f and of h then go
-# through the same batched Euclid, as many levels per call as fit in
-# BLOCK_ROWS rows (_level_gcd_degrees): one call for a small block.
+# through the same gcd kernel against f, as many levels per call as fit
+# in BLOCK_ROWS rows (_level_gcd_degrees): one call for a small block.
 #
 # Each square of the chain is one product by the Toeplitz matrix of a
 # factor (_mulmod) and one reduction low + high @ R by the per-block
@@ -110,8 +113,9 @@ def primes_up_to(bound: int):
 #     reduced value plus one product, <= (l - 1) + (l - 1)^2;
 #   * the start y = x + x^(-1): two reduced values, <= 2 (l - 1);
 #   * the chain step s @ M: d products, <= d (l - 1)^2;
-#   * _vec_powmod and the Euclid step lc(b) a - lc(a) x^s b: one product,
-#     or the difference of two, of reduced values, at most (l - 1)^2.
+#   * _vec_powmod and the divstep difference f~(0) g~ - g~(0) f~ of
+#     _batch_gcd_degrees: one product, or the difference of two, of
+#     reduced values, below (l - 1)^2 in absolute value.
 # As l - 1 <= (l - 1)^2 and d >= 2, each is at most d (l - 1)^2, and the
 # kernel is exact when d (l - 1)^2 < 2^63; its callers refuse larger
 # primes (_check_kernel_prime).  The trace-form census of orthfin forms
@@ -228,68 +232,72 @@ def _batch_frobenius_chains(C, primes, kmax, V):
     return out
 
 
-def _top_aligned(X, w):
-    """(w columns per row, leading coefficient in column 0; degrees).
+def _batch_gcd_degrees(F, G, m):
+    """deg gcd(f, g) over F_m for each row pair f of F, g of G.
 
-    X holds ascending coefficient rows; a zero row has degree -1."""
-    nz = X != 0
-    deg = np.where(nz.any(axis=1),
-                   X.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1), -1)
-    src = deg[:, None] - np.arange(w)
-    below = src < 0
-    np.maximum(src, 0, out=src)
-    top = np.take_along_axis(X, src, axis=1)
-    top[below] = 0
-    return top, deg
+    F: (R, d + 1) ascending coefficient rows of exact degree d, lc(f)
+    non-zero mod m; G: ascending rows of degree < d (columns from d on
+    zero); both reduced into [0, m) for the row's prime m.  g = 0 gives
+    d.  Raises ValueError when a row breaks this contract.
 
+    Polynomial divsteps (Bernstein and Yang, "Fast constant-time gcd
+    computation and modular inversion", TCHES 2019, section 6, Theorem
+    6.2) on the reversals f~ = x^d f(1/x), g~ = x^(d - 1) g(1/x) and
+    delta = 1, each step
 
-def _batch_gcd_degrees(A, B, m):
-    """deg gcd(a, b) over F_m for each row pair; -1 when both are zero.
+        swap = delta > 0 and g~(0) != 0;
+        t = f~(0) g~ - g~(0) f~;  f~ = g~ if swap;
+        delta = 1 - delta if swap else 1 + delta;  g~ = t / x,
 
-    A, B: ascending coefficient rows, R of each, reduced into [0, m)
-    for the row's prime m.  Each step keeps deg a >= deg b by swapping
-    and replaces a by lc(b) a - lc(a) x^(deg a - deg b) b, which lowers
-    deg a and needs no inverse.  A row whose b is zero is finished: its
-    degree is recorded and it drops out of the mask of live rows.  Rows
-    are stored top-aligned (leading coefficient first), so
-    x^(deg a - deg b) b is b's row as stored, and the cancelled leading
-    term of a is dropped by a shift of one column.  The step works in
-    place in four buffers allocated once.
+    and after exactly 2d - 1 steps deg gcd(f, g) = delta / 2.
+
+    Why: write f~ = x^A a(1/x) for a polynomial a of degree exactly A
+    (f~(0) = lc(a) stays non-zero, as f~ takes g~ only when g~(0) != 0)
+    and g~ = x^B b(1/x) with deg b <= B (b = 0 once B < 0), so g~(0) is
+    b's x^B coefficient b_B.  At the start (a, A, b, B) = (f, d, g, d -
+    1), and delta = A - B throughout.  Without a swap b becomes lc(a) b -
+    b_B x^(B - A) a (B >= A whenever b_B != 0), which has no x^B term,
+    and B drops by one.  A swap (A > B, b_B != 0) makes b the new a, of
+    degree B, and lc(a) x^(A - B) b - b_B a, of degree < A, the new b
+    with B = A - 1.  Both keep gcd(a, b) = gcd(f, g) up to a unit and
+    lower A + B by one, from 2d - 1 to 0 after 2d - 1 steps.  Then A = -B
+    = delta / 2, and either A = 0, so a is a unit, or B < 0, so b = 0;
+    either way deg gcd(f, g) = A.
+
+    Truncation: only the decisions (swap) reach delta, and each reads
+    f~(0) and g~(0).  A step maps the coefficients j >= 1 of (f~, g~) to
+    coefficients >= j - 1, so once s steps are done the 2d - 1 - s steps
+    left read only the low 2d - 1 - s coefficients; and f~, g~ have
+    degree <= d throughout.  So step s (from 0) works on views of width
+    min(d + 1, 2d - 1 - s) of four buffers allocated once.  The
+    difference f~(0) g~ - g~(0) f~ of reduced values is below (l - 1)^2
+    in absolute value before its reduction.
     """
-    w = max(A.shape[1], B.shape[1])
-    (A, da), (B, db) = _top_aligned(A, w), _top_aligned(B, w)
-    T, U = np.empty_like(A), np.empty_like(A)
-    out = np.full(len(m), -1, dtype=np.int64)
-    while True:
-        swap = da < db
-        if swap.any():
-            T[...] = A
-            np.copyto(A, B, where=swap[:, None])
-            np.copyto(B, T, where=swap[:, None])
-            da, db = np.maximum(da, db), np.minimum(da, db)
-        done = (db < 0) & (da >= 0)
-        out[done] = da[done]
-        da[done] = -1
-        live = db >= 0
-        if not live.any():
-            return out
-        # columns past the largest degree are zero in every live row
-        w = int(da.max()) + 1
-        a, b, t, u = A[:, :w], B[:, :w], T[:, :w], U[:, :w]
-        np.multiply(a, b[:, :1], out=t)
-        np.multiply(b, a[:, :1], out=u)
-        t -= u
-        t %= m[:, None]
-        # drop the cancelled leading term, then any zero leading terms
-        a[:, :-1] = t[:, 1:]
-        a[:, -1] = 0
-        da -= live
-        lead = (A[:, 0] == 0) & (da >= 0)
-        while lead.any():
-            A[lead, :-1] = A[lead, 1:]
-            A[lead, -1] = 0
-            da -= lead
-            lead = (A[:, 0] == 0) & (da >= 0)
+    R, d = F.shape[0], F.shape[1] - 1
+    if (F[:, d] % m == 0).any() | G[:, d:].any():
+        raise ValueError("need f of exact degree d and deg g < d in "
+                         "every row")
+    f = F[:, ::-1].copy()
+    g = np.zeros_like(f)
+    width = min(d, G.shape[1])          # G's columns from d on are zero
+    g[:, d - width:d] = G[:, :width][:, ::-1]
+    t, u = np.empty_like(f), np.empty_like(f)
+    mc = m[:, None]
+    delta = np.ones(R, dtype=np.int64)
+    for s in range(2 * d - 1):
+        w = min(d + 1, 2 * d - 1 - s)
+        fs, gs, ts, us = f[:, :w], g[:, :w], t[:, :w], u[:, :w]
+        swap = (delta > 0) & (gs[:, 0] != 0)
+        np.multiply(gs, fs[:, :1], out=ts)
+        np.multiply(fs, gs[:, :1], out=us)
+        ts -= us
+        ts %= mc
+        np.copyto(fs, gs, where=swap[:, None])
+        np.negative(delta, out=delta, where=swap)
+        delta += 1
+        gs[:, :w - 1] = ts[:, 1:]
+        gs[:, w - 1] = 0
+    return delta >> 1
 
 
 @functools.lru_cache(maxsize=64)
@@ -346,11 +354,11 @@ def _degree_tuple(counts: tuple) -> tuple:
 
 
 def _level_gcd_degrees(A, C, m):
-    """deg gcd(A[k], f) for every level k and row f of C: (K, R), from
-    batched Euclids over the K R pairs (A: (K, R, d), reduced in place).
-    Each Euclid takes as many whole levels as fit in BLOCK_ROWS rows (at
-    least one), so a small block needs one call and a large one bounded
-    buffers."""
+    """deg gcd(A[k], f) for every level k and monic row f of C: (K, R),
+    from the divstep kernel over the K R pairs (f, A[k]) (A: (K, R, d),
+    of degree < d, reduced in place).  Each kernel call takes as many
+    whole levels as fit in BLOCK_ROWS rows (at least one), so a small
+    block needs one call and a large one bounded buffers."""
     K, R, d = A.shape
     A %= m[:, None]
     out = np.empty((K, R), dtype=np.int64)
@@ -358,7 +366,7 @@ def _level_gcd_degrees(A, C, m):
     for k in range(0, K, step):
         L = min(step, K - k)
         out[k:k + L] = _batch_gcd_degrees(
-            A[k:k + L].reshape(L * R, d), np.tile(C, (L, 1)),
+            np.tile(C, (L, 1)), A[k:k + L].reshape(L * R, d),
             np.tile(m, L)).reshape(L, R)
     return out
 
@@ -384,7 +392,7 @@ def _factor_degree_rows(C, m):
     C: (R, d+1) monic rows with d >= 1, reduced into [0, m) and
     squarefree mod m (a row that is not raises ArithmeticError or gives
     wrong degrees); the caller checks that the primes fit the overflow
-    bound.  One Frobenius chain and the batched Euclid
+    bound.  One Frobenius chain and the divstep gcd kernel
     (_level_gcd_degrees) serve every row.
     """
     R, d = C.shape[0], C.shape[1] - 1
@@ -405,7 +413,7 @@ def _lift_degree_rows(C, m):
     as disc f = (-1)^n h(2) h(-2) disc(h)^2); the caller checks the
     overflow bound.  One Frobenius chain, started at x and at y = x +
     x^(-1), gives the n levels of f and the n // 2 levels of h, and the
-    batched Euclid against f takes them all (_level_gcd_degrees); a
+    divstep gcd kernel against f takes them all (_level_gcd_degrees); a
     level of h has half the degree found (see the note above
     _max_kernel_prime).
     """
@@ -423,7 +431,7 @@ def _lift_degree_rows(C, m):
     levels = [chains[:, 0] - x]
     if n >= 2:
         levels.append(chains[:n // 2, 1] - starts[1])
-    del chains                  # not held through the Euclid's buffers
+    del chains                  # not held through the gcd kernel's buffers
     g = _level_gcd_degrees(np.concatenate(levels), C, m)
     gh, odd = np.divmod(g[n:], 2)
     if odd.any():

@@ -803,10 +803,13 @@ def _twist_family(E: FqTCurve, d: int, n: int = 1, places=None):
     unit, so u and c u pass or fail together.  The row (counter, lead)
     takes the verdict of its monic associate u / lead, whose low digits
     are the counter's digits times lead^-1.  Over a prime field one
-    batched Euclid keeps the monic rows with deg gcd(u, u') = 0 and a
-    second one those with deg gcd(u, m) = 0 for the bad modulus m (a
-    zero u' leaves gcd(u, u') = u); extension fields test each monic
-    candidate as a Poly.
+    call of the divstep gcd kernel (galclass._batch_gcd_degrees) keeps
+    the monic rows with deg gcd(u, u') = 0 (a zero u' leaves gcd(u, u')
+    = u) and a second one those with deg gcd(u, m) = 0 for the bad
+    modulus m of degree D.  The kernel takes its pair as (exact degree,
+    lower degree): (m, u) when D > d, (u, m) when D < d, and (u, m -
+    lc(m) u) when D = d, which has the same gcd.  Extension fields test
+    each monic candidate as a Poly.
     """
     if d < 0:
         raise ValueError("d must be >= 0")
@@ -830,8 +833,12 @@ def _twist_family(E: FqTCurve, d: int, n: int = 1, places=None):
         deriv[:, :d] = monic[:, 1:] * np.arange(1, d + 1) % Q
         ok = _batch_gcd_degrees(monic, deriv, mod) == 0
         idx = np.nonzero(ok)[0]
+        u = monic[idx]
         ms = np.tile(np.array(m.coeffs, dtype=np.int64), (len(idx), 1))
-        ok[idx] = _batch_gcd_degrees(monic[idx], ms, mod[:len(idx)]) == 0
+        if m.degree == d:       # gcd(u, m) = gcd(u, m - lc(m) u)
+            ms = (ms - ms[:, d:] * u) % Q
+        pair = (ms, u) if m.degree > d else (u, ms)
+        ok[idx] = _batch_gcd_degrees(*pair, mod[:len(idx)]) == 0
     rows = np.repeat(monic, Q - 1, axis=0)
     lead = np.tile(np.arange(1, Q, dtype=np.int64), Q ** d)
     rows[:, d] = lead

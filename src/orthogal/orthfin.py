@@ -753,7 +753,8 @@ def _prime_census_rows(H: np.ndarray, p: int) -> list:
     """Per row h of H over F_p: None when h is not in P_n, else (degrees
     of h, degrees of f, class of f(1), class of f(-1)).
 
-    Squarefree means gcd(h, h') = 1, by the batched Euclid; f(1) = h(2)
+    Squarefree means gcd(h, h') = 1, by the divstep gcd kernel
+    (galclass._batch_gcd_degrees, monic h against h'); f(1) = h(2)
     and f(-1) = (-1)^n h(-2) come by Horner's rule, their square
     classes by Euler's criterion, and f = H B mod p for the binomial
     matrix B of T^(n-k) (T^2 + 1)^k.  f goes through the one-pass row

@@ -96,28 +96,158 @@ def _max_prime_below(bound):
     return ell
 
 
+def _random_poly(rng, F, degree, lead=None):
+    """A random polynomial of exact degree degree over F (zero for -1),
+    with leading coefficient lead when given."""
+    if degree < 0:
+        return Poly([], F)
+    ell = F.p
+    return Poly([rng.randrange(ell) for _ in range(degree)]
+                + [lead or rng.randrange(1, ell)], F)
+
+
+def _kernel_rows(polys, width):
+    """Ascending coefficient rows of the polynomials, width columns."""
+    return np.array([list(p.coeffs) + [0] * (width - len(p.coeffs))
+                     for p in polys], dtype=np.int64)
+
+
 @pytest.mark.parametrize(
     "ell", [3, 9973, _max_prime_below(galclass._max_kernel_prime(10))])
 def test_batch_gcd_degrees_matches_poly_gcd(ell):
+    # pairs (f, g) with deg f = 10 exactly and deg g < 10, g possibly
+    # zero, as the divstep kernel requires
     F = get_field(ell)
     rng = random.Random(ell)
-    rows_a, rows_b, want = [], [], []
+    fs, gs, want = [], [], []
     for _ in range(60):
-        c = Poly([rng.randrange(ell) for _ in range(rng.randrange(1, 5))], F)
-        a = Poly([rng.randrange(ell) for _ in range(rng.randrange(0, 6))], F)
-        b = Poly([rng.randrange(ell) for _ in range(rng.randrange(0, 6))], F)
+        k = rng.randrange(0, 5)
+        c = _random_poly(rng, F, k)
         if rng.random() < 0.7:      # a common factor c: a nontrivial gcd
-            a, b = a * c, b * c
-        if a.is_zero() and b.is_zero():
-            want.append(-1)
+            f = _random_poly(rng, F, 10 - k) * c
+            g = _random_poly(rng, F, rng.randrange(-1, 10 - k)) * c
         else:
-            want.append(a.gcd(b).degree)
-        rows_a.append(list(a.coeffs) + [0] * (11 - len(a.coeffs)))
-        rows_b.append(list(b.coeffs) + [0] * (11 - len(b.coeffs)))
+            f = _random_poly(rng, F, 10)
+            g = _random_poly(rng, F, rng.randrange(-1, 10))
+        fs.append(f)
+        gs.append(g)
+        want.append(f.gcd(g).degree)
     got = galclass._batch_gcd_degrees(
-        np.array(rows_a, dtype=np.int64), np.array(rows_b, dtype=np.int64),
+        _kernel_rows(fs, 11), _kernel_rows(gs, 10),
         np.full(len(want), ell, dtype=np.int64))
     assert got.tolist() == want
+
+
+def _former_top_aligned(X, w):
+    """(w columns per row, leading coefficient in column 0; degrees).
+
+    X holds ascending coefficient rows; a zero row has degree -1."""
+    nz = X != 0
+    deg = np.where(nz.any(axis=1),
+                   X.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1), -1)
+    src = deg[:, None] - np.arange(w)
+    below = src < 0
+    np.maximum(src, 0, out=src)
+    top = np.take_along_axis(X, src, axis=1)
+    top[below] = 0
+    return top, deg
+
+
+def _former_batch_gcd_degrees(A, B, m):
+    """deg gcd(a, b) over F_m for each row pair; -1 when both are zero:
+    the former body of _batch_gcd_degrees, a masked Euclid.
+
+    Each step keeps deg a >= deg b by swapping and replaces a by lc(b) a
+    - lc(a) x^(deg a - deg b) b, which lowers deg a and needs no
+    inverse.  A row whose b is zero is finished and drops out of the
+    mask of live rows.  Rows are stored top-aligned, so the cancelled
+    leading term of a is dropped by a shift of one column."""
+    w = max(A.shape[1], B.shape[1])
+    (A, da), (B, db) = _former_top_aligned(A, w), _former_top_aligned(B, w)
+    T, U = np.empty_like(A), np.empty_like(A)
+    out = np.full(len(m), -1, dtype=np.int64)
+    while True:
+        swap = da < db
+        if swap.any():
+            T[...] = A
+            np.copyto(A, B, where=swap[:, None])
+            np.copyto(B, T, where=swap[:, None])
+            da, db = np.maximum(da, db), np.minimum(da, db)
+        done = (db < 0) & (da >= 0)
+        out[done] = da[done]
+        da[done] = -1
+        live = db >= 0
+        if not live.any():
+            return out
+        w = int(da.max()) + 1
+        a, b, t, u = A[:, :w], B[:, :w], T[:, :w], U[:, :w]
+        np.multiply(a, b[:, :1], out=t)
+        np.multiply(b, a[:, :1], out=u)
+        t -= u
+        t %= m[:, None]
+        a[:, :-1] = t[:, 1:]
+        a[:, -1] = 0
+        da -= live
+        lead = (A[:, 0] == 0) & (da >= 0)
+        while lead.any():
+            A[lead, :-1] = A[lead, 1:]
+            A[lead, -1] = 0
+            da -= lead
+            lead = (A[:, 0] == 0) & (da >= 0)
+
+
+# small primes and the largest primes the chain kernel takes at degrees
+# 10 and 16; the divstep kernel's intermediates stay below (l - 1)^2, so
+# both are exact at every degree
+_GCD_TEST_PRIMES = [3, 5, 7, 9973,
+                    _max_prime_below(galclass._max_kernel_prime(10)),
+                    _max_prime_below(galclass._max_kernel_prime(16))]
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_batch_gcd_degrees_matches_the_former_euclid(d):
+    rng = random.Random(100 + d)
+    fs, gs, ms = [], [], []
+    for ell in _GCD_TEST_PRIMES:
+        F = get_field(ell)
+        pairs = []
+        for k in range(d + 1):      # a planted common factor of degree k
+            c = _random_poly(rng, F, k)
+            pairs.append((_random_poly(rng, F, d - k) * c,
+                          _random_poly(rng, F, rng.randrange(-1, d - k)) * c))
+        for _ in range(3):          # g = 0, with f monic and not
+            pairs.append((_random_poly(rng, F, d, lead=1), Poly([], F)))
+            pairs.append((_random_poly(rng, F, d), Poly([], F)))
+        for _ in range(4):          # coprime as a rule, f not monic
+            pairs.append((_random_poly(rng, F, d),
+                          _random_poly(rng, F, rng.randrange(-1, d))))
+        # every coefficient l - 1: the largest products before reduction
+        pairs.append((Poly([ell - 1] * (d + 1), F), Poly([ell - 1] * d, F)))
+        for f, g in pairs:
+            fs.append(f)
+            gs.append(g)
+            ms.append(ell)
+    Fr, Gr = _kernel_rows(fs, d + 1), _kernel_rows(gs, d)
+    m = np.array(ms, dtype=np.int64)
+    assert (Fr[:, d] != 1).any()
+    got = galclass._batch_gcd_degrees(Fr, Gr, m)
+    assert got.tolist() == [f.gcd(g).degree for f, g in zip(fs, gs)]
+    assert (got == _former_batch_gcd_degrees(Fr, Gr, m)).all()
+
+
+def test_batch_gcd_degrees_refuses_rows_outside_its_contract():
+    m = np.array([5, 5], dtype=np.int64)
+    f = np.array([[1, 2, 1], [3, 0, 1]], dtype=np.int64)
+    g = np.array([[1, 1], [2, 0]], dtype=np.int64)
+    assert galclass._batch_gcd_degrees(f, g, m).tolist() == [1, 0]
+    lost = f.copy()
+    lost[1, 2] = 5                  # lc(f) vanishes mod 5
+    with pytest.raises(ValueError):
+        galclass._batch_gcd_degrees(lost, g, m)
+    wide = np.array([[1, 1, 0], [2, 0, 4]], dtype=np.int64)   # deg g = d
+    with pytest.raises(ValueError):
+        galclass._batch_gcd_degrees(f, wide, m)
+    assert galclass._batch_gcd_degrees(f, wide[:, :2], m).tolist() == [1, 0]
 
 
 def test_batch_factor_degrees_computes_discriminant_once(monkeypatch):
