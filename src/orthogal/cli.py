@@ -29,14 +29,13 @@ from .errors import BudgetExceededError
 from .ffield import get_field, SQUARE, NONSQUARE, SquareClass
 from .poly import Poly
 from .recpoly import classify_H, in_P_n, count_irreducible_classes
-from .orthfin import (OrthSpace, CosetLabel, ALL_COSETS, enumerate_O,
-                      c_i_density)
+from .orthfin import OrthSpace, CosetLabel, ALL_COSETS, enumerate_O
 from .signedperm import class_statistics, order_W
 from .galclass import classify
 from .sieve import (SieveProblem, selberg_bound, weight_identities,
                     powerset_support, smooth_support, zero_remainder,
                     density_experiment)
-from .lfunc import FqTCurve, l_function, survey_delta, invariants_Nd_Dd_B
+from .lfunc import FqTCurve, l_function, survey_delta
 from .hodge import primitive_hodge, signature_congruence, k_field_hypersurface
 
 SCHEMA_VERSION = "1"

@@ -16,6 +16,14 @@ coefficients, and the polynomial is completed through its functional
 equation T^N P(1/T) = eps P(T).  Everything is exact integer
 arithmetic; a numeric inverse-root check is offered separately.
 
+One rule gives every fiber trace: the twist by c takes (a, b) to
+(c^2 a, c^3 b) and multiplies the trace by chi(c).  The good fibers of
+a level are counted once per twist class, found from discrete logs
+(_grouped_traces); a twist of the base model by u flips the base
+model's traces by chi(u(t0)); and the fiber at infinity, whose a_v a
+twist flips by chi(lc u), gives its contribution at every level by the
+Frobenius recurrence (_power_sum).
+
 The point counts, the roots of a place in its residue field and the
 subfield embeddings run on the vectorized ops of the extension field's
 ``Fq`` (``vmul``, ``vadd``, ``veval``, ``vlog``, ``vexp``, ``vchi``),
@@ -256,19 +264,17 @@ def _infinity_model(A: Poly, B: Poly):
 
 
 @functools.lru_cache(maxsize=32)
-def _infinity_data(A: Poly, B: Poly, d: int):
-    """(PlaceData, constants) at infinity of the twist of
-    y^2 = x^3 + A x + B by t^d (d = 0: the curve itself).  The constants
-    are (A_s(0), B_s(0)) of the minimal model at s = 1/t for an I0
-    fiber, else None.  This is the one implementation of infinity data,
-    cached per model; l_function scales it to any twist of degree d."""
+def _infinity_data(A: Poly, B: Poly, d: int) -> PlaceData:
+    """PlaceData at infinity of the twist of y^2 = x^3 + A x + B by t^d
+    (d = 0: the curve itself), from the minimal model at s = 1/t.  This
+    is the one implementation of infinity data, cached per model;
+    l_function flips its a_v for any twist of degree d."""
     F = A.field
     td = Poly([0] * d + [1], F)
     s = Poly.x(F)
     As, Bs = _minimalize_at(*_infinity_model(A * td * td, B * td * td * td),
                             s)
-    pd = _place_data(F, As, Bs, s, INFINITY)
-    return pd, ((As(0), Bs(0)) if pd.kodaira == "I0" else None)
+    return _place_data(F, As, Bs, s, INFINITY)
 
 
 def _place_data(field: Fq, A: Poly, B: Poly, pi: Poly, label) -> PlaceData:
@@ -296,7 +302,7 @@ def kodaira_at(E: FqTCurve, place) -> PlaceData:
     at INFINITY (handled through t = 1/s and re-minimalization)."""
     F = E.field
     if place == INFINITY:
-        return _infinity_data(E.A, E.B, 0)[0]
+        return _infinity_data(E.A, E.B, 0)
     pi = place
     if not isinstance(pi, Poly) or pi.field != F:
         raise ValueError("finite place must be a polynomial over the "
@@ -368,7 +374,7 @@ def _invariants(E: FqTCurve, d: int, fps):
     """invariants_Nd_Dd_B from the finite bad places fps of E."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    inf = _infinity_data(E.A, E.B, d)[0]
+    inf = _infinity_data(E.A, E.B, d)
     Nd = inf.f_v + sum(pd.f_v * pd.degree for pd in fps) - 4 + 2 * d
     Dd = inf.gamma_v * prod(pd.gamma_v ** pd.degree for pd in fps)
     B = sum(pd.b_v * pd.degree for pd in fps)
@@ -521,64 +527,30 @@ def _extension_field(F: Fq, k: int) -> Fq:
 
 def _grouped_traces(F: Fq, Av, Bv) -> np.ndarray:
     """Per-fiber traces of nonsingular fibers (a, b), counting one
-    representative per isomorphism class: fibers sharing a j-invariant
-    are quadratic twists (a, b) = (c^2 a0, c^3 b0) of each other, so
-    their traces differ only by the sign chi(c)."""
+    representative (a0, b0) per twist class.
+
+    The twist by c maps (a, b) to (c^2 a, c^3 b) and multiplies the
+    trace by chi(c).  With g the generator of F, m = q - 1, la and lb the
+    logs of a and b, and c = g^-u, chi(c) = (-1)^u:
+      * a != 0: u = la // 2 gives a0 = g^(la mod 2) and b0 = g^(lb - 3u)
+        (0 when b = 0); when log b0 >= m/2, c -> -c takes b0 to -b0 and
+        u to u + m/2.  So a0 is 1 or g and log b0 < m/2;
+      * a = 0: u = lb // 3 gives b0 = g^(lb mod 3).
+    """
     m = F.q - 1
-    Av = np.asarray(Av, dtype=np.int64)
-    Bv = np.asarray(Bv, dtype=np.int64)
-    la = F.vlog(Av)
-    lb = F.vlog(Bv)
-    out = np.zeros(len(Av), dtype=np.int64)
-    rep_a: list = []
-    rep_b: list = []
-    groups: list = []           # (member indices, member signs)
-    # j = 0 (a = 0): twists are classified by the sextic class of b
-    sel = la < 0
-    if sel.any():
-        idxs = np.nonzero(sel)[0]
-        cls = lb[idxs] % 6
-        for c in np.unique(cls):
-            members = idxs[cls == c]
-            rep_a.append(0)
-            rep_b.append(int(Bv[members[0]]))
-            groups.append((members, np.ones(len(members), dtype=np.int64)))
-    # j = 1728 (b = 0): quartic classes of a
-    sel = (lb < 0) & (la >= 0)
-    if sel.any():
-        idxs = np.nonzero(sel)[0]
-        cls = la[idxs] % 4
-        for c in np.unique(cls):
-            members = idxs[cls == c]
-            rep_a.append(int(Av[members[0]]))
-            rep_b.append(0)
-            groups.append((members, np.ones(len(members), dtype=np.int64)))
-    # generic j: group by a^3 / (4a^3 + 27b^2) and twist from the rep
-    gen = (la >= 0) & (lb >= 0)
-    if gen.any():
-        idxs = np.nonzero(gen)[0]
-        lag, lbg = la[idxs], lb[idxs]
-        a3 = F.vexp((3 * lag) % m)
-        w = F.vadd(F.vmul(int(F.from_int(4)), a3),
-                   F.vmul(int(F.from_int(27)), F.vexp((2 * lbg) % m)))
-        jcode = F.vexp((F.vlog(a3) + (m - F.vlog(w))) % m)
-        order = np.argsort(jcode, kind="stable")
-        jo = jcode[order]
-        starts = np.nonzero(np.concatenate(([True], jo[1:] != jo[:-1])))[0]
-        ends = np.concatenate((starts[1:], [len(jo)]))
-        for s, e in zip(starts, ends):
-            grp = order[s:e]
-            r = grp[0]
-            # twist scalar c = (b/b0) * (a0/a); chi(c) from log parity
-            lc = (lbg[grp] - lbg[r] + lag[r] - lag[grp]) % m
-            signs = np.where(lc % 2 == 0, 1, -1).astype(np.int64)
-            rep_a.append(int(Av[idxs[r]]))
-            rep_b.append(int(Bv[idxs[r]]))
-            groups.append((idxs[grp], signs))
-    traces = _fiber_traces(F, rep_a, rep_b)
-    for tr, (members, signs) in zip(traces, groups):
-        out[members] = int(tr) * signs
-    return out
+    la = F.vlog(np.asarray(Av, dtype=np.int64))
+    lb = F.vlog(np.asarray(Bv, dtype=np.int64))
+    gen = la >= 0
+    u = np.where(gen, la // 2, lb // 3)
+    lb0 = np.where(gen, (lb - 3 * u) % m, lb % 3)
+    flip = gen & (lb >= 0) & (lb0 >= m // 2)
+    lb0 -= flip * (m // 2)
+    u += flip * (m // 2)
+    a0 = np.where(gen, F.vexp(la % 2), 0)
+    b0 = np.where(lb >= 0, F.vexp(lb0), 0)
+    keys, inverse = np.unique(a0 * F.q + b0, return_inverse=True)
+    traces = _fiber_traces(F, keys // F.q, keys % F.q)
+    return traces[inverse] * (1 - 2 * (u & 1))
 
 
 _BASE_TRACES: dict = {}
@@ -604,7 +576,7 @@ def _base_fiber_traces(FQ: Fq, k: int, Am: Poly, Bm: Poly,
 
 
 def _power_sum(FQ: Fq, k: int, Am: Poly, Bm: Poly, Dm: Poly,
-               finite_places, inf_pd: PlaceData, inf_consts,
+               finite_places, inf_pd: PlaceData,
                u: Poly | None = None) -> int:
     """S_k: the sum of the k-th Frobenius trace contributions over all
     fibers of P^1(F_{q^{nk}}).
@@ -614,6 +586,12 @@ def _power_sum(FQ: Fq, k: int, Am: Poly, Bm: Poly, Dm: Poly,
     finite_places must then already carry the twisted local data; only
     its multiplicative places enter S_k, so the I0* places at the roots
     of u need not be listed.
+
+    The fiber at infinity (degree 1, a = inf_pd.a_v) is not counted: it
+    contributes s_k = alpha^k + beta^k with alpha + beta = a, and
+    alpha beta = Q for a good fiber, 0 for a bad one.  So s_1 = a and
+    s_k = a s_{k-1} - alpha beta s_{k-2} from s_0 = 2: a^k at a
+    multiplicative fiber and 0 at an additive one, where a = 0.
     """
     Fk = _extension_field(FQ, k)
     tr = _base_fiber_traces(FQ, k, Am, Bm, Dm)
@@ -627,14 +605,12 @@ def _power_sum(FQ: Fq, k: int, Am: Poly, Bm: Poly, Dm: Poly,
         r = pd.degree
         if k % r == 0 and _is_multiplicative(pd.kodaira):
             S += r * pd.a_v ** (k // r)
-    sym = inf_pd.kodaira
-    if sym == "I0":
-        a, b = inf_consts
-        emb = _embedding_table(FQ, Fk)
-        S += int(_fiber_traces(Fk, [int(emb[a])], [int(emb[b])])[0])
-    elif _is_multiplicative(sym):
-        S += inf_pd.a_v ** k
-    return S
+    a = inf_pd.a_v
+    norm = FQ.q if inf_pd.kodaira == "I0" else 0
+    s0, s1 = 2, a
+    for _ in range(k - 1):
+        s0, s1 = s1, a * s1 - norm * s0
+    return S + s1
 
 
 def _twisted_places(places0, u: Poly):
@@ -679,10 +655,16 @@ def l_function(E: FqTCurve, u: Poly | None = None, n: int = 1,
     the completion at infinity the twist by u is the twist by t^d
     twisted again by the constant c.  Its minimal model at infinity is
     that of the t^d twist scaled by (c^2, c^3): the symbol, f_v, gamma_v
-    and b_v are unchanged, a_v is multiplied by chi(c), and the I0
-    constants (a0, b0) become (c^2 a0, c^3 b0).  The cached
-    _infinity_data of the t^d twist thus serves every u of degree d
-    (u = None is d = 0, c = 1).
+    and b_v are unchanged and a_v is multiplied by chi(c).  That a_v
+    gives the contribution of infinity at every level (_power_sum), so
+    the cached _infinity_data of the t^d twist serves every u of degree
+    d (u = None is d = 0, c = 1).
+
+    The counted coefficients b_0..b_m fix the root number at the first
+    j with b_j != 0 whose partner b_{N-j} is counted, and the rest is
+    b_i = eps Q^(2i - N) b_{N-i}.  The result is returned only when
+    LPolynomial.functional_equation_holds, so any inconsistency among
+    the counted coefficients raises ArithmeticError.
     """
     F = E.field
     if n < 1:
@@ -702,14 +684,9 @@ def l_function(E: FqTCurve, u: Poly | None = None, n: int = 1,
             Am, Bm, Dm, finite_places = _finite_minimal(
                 quadratic_twist(FqTCurve(FQ, A, B), u,
                                 check_squarefree=False))
-    inf_pd, inf_consts = _infinity_data(A, B, 0 if u is None else u.degree)
-    c = 1 if u is None else u.lc
-    if FQ.square_class(c).sign < 0:
+    inf_pd = _infinity_data(A, B, 0 if u is None else u.degree)
+    if u is not None and FQ.square_class(u.lc).sign < 0:
         inf_pd = replace(inf_pd, a_v=-inf_pd.a_v)
-    if inf_consts is not None:
-        c2 = FQ.mul(c, c)
-        inf_consts = (FQ.mul(c2, inf_consts[0]),
-                      FQ.mul(FQ.mul(c2, c), inf_consts[1]))
     N = inf_pd.f_v + sum(pd.f_v * pd.degree for pd in finite_places) - 4
     if u_count is not None:
         N += 2 * u.degree     # its unlisted I0* places (_twisted_places)
@@ -724,7 +701,7 @@ def l_function(E: FqTCurve, u: Poly | None = None, n: int = 1,
             k = len(S) + 1
             _check_level_budget(Q, k, budget)
             S.append(_power_sum(FQ, k, Am, Bm, Dm, finite_places,
-                                inf_pd, inf_consts, u=u_count))
+                                inf_pd, u=u_count))
             j = len(b)
             tot = sum(S[i - 1] * b[j - i] for i in range(1, j + 1))
             if tot % j != 0:
@@ -734,44 +711,18 @@ def l_function(E: FqTCurve, u: Poly | None = None, n: int = 1,
     if N == 0:
         return LPolynomial(coeffs=(1,), N_d=0, epsilon=1, Q=Q)
 
-    m = N if full else -(-N // 2)
-    extend_to(m)
-    eps = None
-    while eps is None:
-        for j in range(len(b)):
-            jj = N - j
-            if 0 <= jj < len(b) and b[j] != 0:
-                val = Fraction(b[jj]) / (Fraction(b[j])
-                                         * Fraction(Q) ** (N - 2 * j))
-                if val == 1:
-                    eps = 1
-                elif val == -1:
-                    eps = -1
-                else:
-                    raise ArithmeticError("functional equation inconsistency")
-                break
-        if eps is None:
-            if len(b) > N:
-                raise ArithmeticError("cannot determine the root number")
+    extend_to(N if full else -(-N // 2))
+    # the root number from the first nonzero b_j whose partner b_{N-j} is
+    # counted: one more level while there is none (b_0 = 1 pairs with b_N)
+    j = None
+    while j is None:
+        j = next((i for i in range(len(b)) if b[i] and N - i < len(b)), None)
+        if j is None:
             extend_to(len(S) + 1)
-
-    coeffs: list = [None] * (N + 1)
-    for j, v in enumerate(b[:N + 1]):
-        coeffs[j] = v
-    for j in range(min(len(b), N + 1)):
-        jj = N - j
-        want = eps * b[j] * Fraction(Q) ** (N - 2 * j)
-        if want.denominator != 1:
-            raise ArithmeticError("functional equation inconsistency")
-        want = want.numerator
-        if coeffs[jj] is None:
-            coeffs[jj] = want
-        elif coeffs[jj] != want:
-            raise ArithmeticError("functional equation inconsistency")
-    if any(c is None for c in coeffs):
-        raise ArithmeticError("incomplete coefficient recovery")
-    out = LPolynomial(coeffs=tuple(int(c) for c in coeffs), N_d=N,
-                      epsilon=eps, Q=Q)
+    eps = 1 if (b[N - j] * Q ** max(0, 2 * j - N)
+                == b[j] * Q ** max(0, N - 2 * j)) else -1
+    b += [eps * b[N - i] * Q ** (2 * i - N) for i in range(len(b), N + 1)]
+    out = LPolynomial(coeffs=tuple(b), N_d=N, epsilon=eps, Q=Q)
     if not out.functional_equation_holds():
         raise ArithmeticError("functional equation fails on the "
                               "assembled polynomial")

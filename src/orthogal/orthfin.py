@@ -57,7 +57,7 @@ import random
 import numpy as np
 
 from .errors import BudgetExceededError, NotSeparableError
-from .ffield import Fq, get_field, SquareClass, SQUARE, NONSQUARE, ZERO_CLASS
+from .ffield import Fq, SquareClass, SQUARE, NONSQUARE, ZERO_CLASS
 from .galclass import (BLOCK_ROWS, _batch_gcd_degrees, _check_kernel_prime,
                        _lift_degree_rows, _vec_powmod)
 from .poly import Poly, factor_degrees

@@ -25,14 +25,12 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetExceededError, NotReciprocalError
-from .ffield import (get_field, SquareClass, SQUARE, NONSQUARE, ZERO_CLASS,
-                     _is_prime, _prime_factors)
+from .ffield import get_field, SquareClass, _is_prime, _prime_factors
 from .poly import Poly, factor_degrees
 
 

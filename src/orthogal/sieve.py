@@ -20,7 +20,6 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import BudgetExceededError
 from .ffield import get_field, SquareClass
 from .orthfin import OrthSpace, CosetLabel, ALL_COSETS, c_i_density
 

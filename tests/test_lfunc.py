@@ -303,6 +303,97 @@ def test_multiplicative_fiber_split_or_nonsplit():
         assert pts == q - pd.a_v
 
 
+def _grouped_traces_by_j(F, Av, Bv):
+    """The reference for lfunc._grouped_traces: one representative per
+    j-invariant, found by three branches (j = 0 by the sextic class of
+    b, j = 1728 by the quartic class of a, generic j by sorting
+    a^3 / (4a^3 + 27b^2)), each member's trace the representative's
+    times chi(c) for its twist scalar c."""
+    m = F.q - 1
+    Av = np.asarray(Av, dtype=np.int64)
+    Bv = np.asarray(Bv, dtype=np.int64)
+    la = F.vlog(Av)
+    lb = F.vlog(Bv)
+    out = np.zeros(len(Av), dtype=np.int64)
+    rep_a, rep_b, groups = [], [], []    # groups: (members, signs)
+    sel = la < 0
+    if sel.any():
+        idxs = np.nonzero(sel)[0]
+        cls = lb[idxs] % 6
+        for c in np.unique(cls):
+            members = idxs[cls == c]
+            rep_a.append(0)
+            rep_b.append(int(Bv[members[0]]))
+            groups.append((members, np.ones(len(members), dtype=np.int64)))
+    sel = (lb < 0) & (la >= 0)
+    if sel.any():
+        idxs = np.nonzero(sel)[0]
+        cls = la[idxs] % 4
+        for c in np.unique(cls):
+            members = idxs[cls == c]
+            rep_a.append(int(Av[members[0]]))
+            rep_b.append(0)
+            groups.append((members, np.ones(len(members), dtype=np.int64)))
+    gen = (la >= 0) & (lb >= 0)
+    if gen.any():
+        idxs = np.nonzero(gen)[0]
+        lag, lbg = la[idxs], lb[idxs]
+        a3 = F.vexp((3 * lag) % m)
+        w = F.vadd(F.vmul(int(F.from_int(4)), a3),
+                   F.vmul(int(F.from_int(27)), F.vexp((2 * lbg) % m)))
+        jcode = F.vexp((F.vlog(a3) + (m - F.vlog(w))) % m)
+        order = np.argsort(jcode, kind="stable")
+        jo = jcode[order]
+        starts = np.nonzero(np.concatenate(([True], jo[1:] != jo[:-1])))[0]
+        ends = np.concatenate((starts[1:], [len(jo)]))
+        for s, e in zip(starts, ends):
+            grp = order[s:e]
+            r = grp[0]
+            # twist scalar c = (b/b0) * (a0/a); chi(c) from log parity
+            lc = (lbg[grp] - lbg[r] + lag[r] - lag[grp]) % m
+            signs = np.where(lc % 2 == 0, 1, -1).astype(np.int64)
+            rep_a.append(int(Av[idxs[r]]))
+            rep_b.append(int(Bv[idxs[r]]))
+            groups.append((idxs[grp], signs))
+    traces = lfunc._fiber_traces(F, rep_a, rep_b)
+    for tr, (members, signs) in zip(traces, groups):
+        out[members] = int(tr) * signs
+    return out
+
+
+def _nonsingular(F, Av, Bv):
+    """The pairs (a, b) with 4 a^3 + 27 b^2 != 0."""
+    a3 = F.vmul(F.vmul(Av, Av), Av)
+    w = F.vadd(F.vmul(int(F.from_int(4)), a3),
+               F.vmul(int(F.from_int(27)), F.vmul(Bv, Bv)))
+    return Av[w != 0], Bv[w != 0]
+
+
+# (p, e, sampled pairs or None for every pair)
+GROUPED_CASES = [(5, 1, None), (7, 1, None), (11, 1, None), (13, 1, None),
+                 (5, 2, None), (7, 2, None), (5, 3, None), (7, 4, 5000),
+                 (11, 3, 5000)]
+
+
+@pytest.mark.parametrize("p,e,sample", GROUPED_CASES)
+def test_grouped_traces_match_the_j_class_oracle(p, e, sample):
+    # one trace per twist class by discrete logs, against one per
+    # j-invariant and against a direct count of every fiber
+    F = get_field(p, e)
+    if sample is None:
+        Av, Bv = np.divmod(np.arange(F.q * F.q, dtype=np.int64), F.q)
+    else:
+        rng = np.random.default_rng(F.q)
+        Av = rng.integers(0, F.q, sample)
+        Bv = rng.integers(0, F.q, sample)
+        # j = 0 and j = 1728 rows
+        Av[:50], Bv[50:100] = 0, 0
+    Av, Bv = _nonsingular(F, Av, Bv)
+    got = lfunc._grouped_traces(F, Av, Bv)
+    assert np.array_equal(got, _grouped_traces_by_j(F, Av, Bv))
+    assert np.array_equal(got, lfunc._fiber_traces(F, Av, Bv))
+
+
 # ---------------------------------------------------------------------------
 # L-functions
 # ---------------------------------------------------------------------------
@@ -397,16 +488,11 @@ def test_l_function_paths_agree(family, q, d):
         assert fast.inverse_root_abs_error() < 1e-7
         # inverse roots have absolute value Q, so |b_N| = Q^N
         assert abs(fast.coeffs[-1]) == Q ** N
-        # infinity data of the t^d twist, scaled by c = lc(u), is the
-        # twisted curve's own
-        pd, consts = lfunc._infinity_data(E.A, E.B, u.degree)
-        c = u.lc
-        assert replace(pd, a_v=F.square_class(c).sign * pd.a_v) == \
+        # infinity data of the t^d twist, its a_v flipped by chi(lc(u)),
+        # is the twisted curve's own
+        pd = lfunc._infinity_data(E.A, E.B, u.degree)
+        assert replace(pd, a_v=F.square_class(u.lc).sign * pd.a_v) == \
             kodaira_at(Eu, INFINITY)
-        if consts is not None:
-            c2 = F.mul(c, c)
-            assert (F.mul(c2, consts[0]), F.mul(F.mul(c2, c), consts[1])) == \
-                lfunc._infinity_data(Eu.A, Eu.B, 0)[1]
     with pytest.raises(ValueError):
         l_function(E, n=0)
 
@@ -415,11 +501,43 @@ def test_paths_cases_cover_every_infinity_type():
     kinds = set()
     for family, q, d in PATHS_CASES:
         E = _paths_curve(family, q)
-        sym = lfunc._infinity_data(E.A, E.B, d)[0].kodaira
+        sym = lfunc._infinity_data(E.A, E.B, d).kodaira
         kinds.add("I0" if sym == "I0" else
                   "multiplicative" if lfunc._is_multiplicative(sym)
                   else "additive")
     assert kinds == {"I0", "multiplicative", "additive"}
+
+
+def test_infinity_recurrence_matches_a_direct_count(monkeypatch):
+    # a good fiber at infinity enters S_k by the recurrence on its a_v:
+    # against a count of that fiber over F_{q^k}, k = 1..4, for the t^d
+    # twist and for its twist by a non-square constant c.  An empty base
+    # model leaves only the fiber at infinity in S_k.
+    monkeypatch.setattr(lfunc, "_base_fiber_traces", lambda FQ, k, *model:
+                        np.zeros(lfunc._extension_field(FQ, k).q, dtype=int))
+    checked = 0
+    for family, q, d in PATHS_CASES:
+        E = _paths_curve(family, q)
+        F = E.field
+        pd = lfunc._infinity_data(E.A, E.B, d)
+        if pd.kodaira != "I0":
+            continue
+        td = Poly([0] * d + [1], F)
+        As, Bs = lfunc._minimalize_at(*lfunc._infinity_model(
+            E.A * td * td, E.B * td * td * td), Poly.x(F))
+        a0, b0 = As(0), Bs(0)
+        c = next(c for c in range(1, F.q) if F.square_class(c).sign < 0)
+        twisted = (F.mul(F.mul(c, c), a0), F.mul(F.pow(c, 3), b0),
+                   replace(pd, a_v=-pd.a_v))
+        for a, b, pdc in ((a0, b0, pd), twisted):
+            for k in range(1, 5):
+                Fk = lfunc._extension_field(F, k)
+                emb = _embedding_table(F, Fk)
+                direct = lfunc._fiber_traces(Fk, [emb[a]], [emb[b]])[0]
+                assert lfunc._power_sum(F, k, None, None, None, [],
+                                        pdc) == direct
+        checked += 1
+    assert checked >= 2
 
 
 # (curve, d, first twist, {twist row: pinned (coeffs, epsilon)}): the
@@ -537,8 +655,15 @@ def _seeded_curve(family, q, seed):
             zero = Poly([0], F)
             return FqTCurve.from_a_invariants(F, zero, -(a + b), zero, a * b,
                                               zero)
-        except ValueError:      # singular model
-            continue
+        except ValueError as exc:
+            if not str(exc).startswith("singular model"):
+                raise
+
+
+def test_seeded_curve_refuses_a_small_characteristic_at_once():
+    # only a singular model is redrawn; any other error ends the draw
+    with pytest.raises(ValueError, match="characteristic"):
+        _seeded_curve("general", 3, seed=1)
 
 
 def _scalar_twist_rows(E, d, n=1):

@@ -7,7 +7,9 @@
 * only ``ffield`` reads the private tables of ``Fq`` (``_exp``, ``_log``,
   ...); other modules go through its scalar and vectorized ops;
 * ``hodge`` computes in integers only: no float constant and no true
-  division, so the mod-4 signature congruence is checked exactly."""
+  division, so the mod-4 signature congruence is checked exactly;
+* every module-level import is read in its own module, except in
+  ``__init__.py``, whose imports are the package's re-exports."""
 
 import ast
 from pathlib import Path
@@ -86,3 +88,28 @@ def test_hodge_is_integer_only():
              or (isinstance(node, (ast.BinOp, ast.AugAssign))
                  and isinstance(node.op, ast.Div))]
     assert not found, f"float constants or true division in hodge: {found}"
+
+
+def _imported_names(tree):
+    """(line, bound name) of each module-level import, skipping
+    ``from __future__``."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+
+
+def test_no_unused_imports():
+    found = []
+    for p, tree in _trees():
+        if p.name == "__init__.py":
+            continue
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Load)}
+        found += [f"{p.name}:{line} {name}"
+                  for line, name in _imported_names(tree)
+                  if name not in loaded]
+    assert not found, f"imports never read in their module: {found}"
