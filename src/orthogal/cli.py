@@ -140,14 +140,21 @@ def report_schema_validate(doc) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _shared_strings(values) -> list:
+    """The rationals as strings, one interned object per distinct
+    string, so a caller that keeps many reports holds each coefficient
+    string once."""
+    return [sys.intern(str(Fraction(v))) for v in values]
+
+
 def _cmd_classify(args):
     coeffs = _parse_rationals(args.poly)
     cert = classify(Poly(coeffs), prime_budget=args.prime_budget)
     payload = {
-        "input": [str(c) for c in coeffs],
+        "input": _shared_strings(coeffs),
         "N": cert.N,
         "epsilon": cert.epsilon,
-        "stripped": [str(Fraction(c)) for c in cert.stripped_coeffs],
+        "stripped": _shared_strings(cert.stripped_coeffs),
         "n": cert.n,
         "status": cert.status,
         "claimed_group": None if cert.claimed_group is None

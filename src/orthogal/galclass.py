@@ -9,21 +9,27 @@ W_{2n} (or its index-two subgroup W_{2n}^+) once witnesses of classes
 1..5 are found.  The W vs W^+ split is decided by an exact perfect
 square test on disc(f); an i=6 witness forces the full group.
 
+disc(f) is read off the trace form: disc(f) = h(2) h(-2) disc(h)^2, so
+one resultant of degree n serves both (_int_discriminant).
+
 The discriminants also bound the scan.  By Stickelberger a good odd
-prime l has (disc/l) = (-1)^(number of even-degree factors mod l), so
-square classes of disc(f), disc(h) and their product over Q decide
-which classes any prime can show (recpoly._reachable_classes).  So does
-the factorization of the trace form h over Q: a reducible h never shows
-class 1, and each rational factor h_i splits mod l on its own.  h is
-factored (poly._factor_over_z) only when the first block of primes
-shows no class 1 while the discriminants allow it.  For n = 4 an
-irreducible h whose resolvent cubic has a rational root has Gal(h)
-inside a D4, which has no 3-cycle, so class 2 is ruled out too.  The
-scan stops once every wanted class has a witness or, when a wanted class
-is ruled out, once every reachable class has one; either way the
-certificate is that of a scan of the whole budget.  Primes are factored
-in growing blocks (32, 224, then doubling up to 2048 rows), so an early
-certificate factors few primes.
+prime l has (disc/l) = (-1)^(number of even-degree factors mod l).
+Applied to every rational factor h_i of the trace form h and to its
+lift, with disc(h_i) and h_i(2) h_i(-2), each product of these values
+that is a rational square ties the parities of the patterns mod l at
+every good prime; recpoly._reachable_classes lists the classes that
+fit.  Before h is factored, h itself is the one factor.  The
+factorization adds its own constraints: a reducible h never shows class
+1, each h_i splits mod l on its own, and a lift that splits over Q
+splits mod every l.  h and the lifts of its factors are factored
+(poly._factor_over_z) when the first block of primes leaves the goal
+open.  For n = 4 an irreducible h whose resolvent cubic has a rational
+root has Gal(h) inside a D4, which has no 3-cycle, so class 2 is ruled
+out too.  The scan stops once every wanted class has a witness or, when
+a wanted class is ruled out, once every reachable class has one; either
+way the certificate is that of a scan of the whole budget.  Primes are
+factored in growing blocks (32, 224, then doubling up to 2048 rows), so
+an early certificate factors few primes.
 
 Each block is one kernel pass over the rows of f mod l: the Frobenius
 chain x^(l^k) mod f gives the factor degrees of f, and the same chain
@@ -52,7 +58,7 @@ from numpy.lib.stride_tricks import as_strided
 from .errors import NotSeparableError
 from .poly import Poly, discriminant, _factor_over_z
 from .recpoly import (strip, to_trace_form, trace_lift, classes_from_degrees,
-                      _reachable_classes)
+                      _reachable_classes, _square_relations, _trace_coeffs)
 from .signedperm import WGroup, class_statistics
 
 
@@ -61,16 +67,18 @@ from .signedperm import WGroup, class_statistics
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=4)
 def primes_up_to(bound: int):
-    """All primes <= bound (numpy sieve)."""
-    if bound < 2:
-        return np.array([], dtype=np.int64)
-    mask = np.ones(bound + 1, dtype=bool)
+    """All primes <= bound (numpy sieve), sieved once per bound: the
+    array is shared between calls, so it is read-only."""
+    mask = np.ones(max(bound + 1, 2), dtype=bool)
     mask[:2] = False
-    for p in range(2, int(bound ** 0.5) + 1):
+    for p in range(2, math.isqrt(max(bound, 0)) + 1):
         if mask[p]:
             mask[p * p::p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
+    out = np.nonzero(mask)[0].astype(np.int64)
+    out.flags.writeable = False
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +312,31 @@ def _batch_gcd_degrees(F, G, m):
 def _int_discriminant(int_coeffs: tuple) -> int:
     """disc(f) of an integer polynomial, computed once per polynomial.
     classify takes its zero test and square classes from it: for f over
-    Q with c f integral, disc(c f) = c^(2d - 2) disc(f)."""
+    Q with c f integral, disc(c f) = c^(2d - 2) disc(f).
+
+    A palindromic f = T^n H(T + 1/T) of even degree 2n >= 2 has disc(f)
+    = H(2) H(-2) disc(H)^2 (recpoly.disc_identity), for any leading
+    coefficient c, as both sides scale by c^(4n - 2); H is integral
+    (_int_trace_form).  So it costs one resultant of degree n, not 2n,
+    and gives the same integer."""
+    d = len(int_coeffs) - 1
+    if d >= 2 and d % 2 == 0 and int_coeffs == int_coeffs[::-1]:
+        H = _int_trace_form(int_coeffs)
+        return _boundary_product(H) * _int_discriminant(H) ** 2
     return Fraction(discriminant(Poly(list(int_coeffs)))).numerator
+
+
+def _int_trace_form(int_coeffs) -> tuple:
+    """The integer H with F = T^n H(T + 1/T), for a palindromic integer
+    F of even degree 2n; F monic over Q times c gives H = c h."""
+    return tuple(_trace_coeffs(int_coeffs))
+
+
+def _boundary_product(int_coeffs) -> int:
+    """H(2) H(-2) of an integer polynomial: the square class of
+    disc(T^n H(T + 1/T)) / disc(H)^2."""
+    return (sum(c << i for i, c in enumerate(int_coeffs))
+            * sum(c * (-2) ** i for i, c in enumerate(int_coeffs)))
 
 
 def _degenerate_numerator(int_coeffs: tuple) -> int:
@@ -410,7 +441,7 @@ def _lift_degree_rows(C, m):
 
     C: (R, 2n+1) monic rows with n >= 1 and constant coefficient 1,
     reduced into [0, m) and squarefree mod m (then h is squarefree too,
-    as disc f = (-1)^n h(2) h(-2) disc(h)^2); the caller checks the
+    as disc f = h(2) h(-2) disc(h)^2); the caller checks the
     overflow bound.  One Frobenius chain, started at x and at y = x +
     x^(-1), gives the n levels of f and the n // 2 levels of h, and the
     divstep gcd kernel against f takes them all (_level_gcd_degrees); a
@@ -483,7 +514,7 @@ def _batch_lift_degrees(int_f, primes):
 
     Returns a list parallel to primes, with (None, None) where f mod l
     is degenerate.  Where it is not, l divides neither c nor disc(f) =
-    (-1)^n h(2) h(-2) disc(h)^2 (over the monic reductions), so h mod l
+    h(2) h(-2) disc(h)^2 (over the monic reductions), so h mod l
     keeps its degree and is squarefree too.
     """
     gidx, C, m = _good_monic_rows(int_f, primes)
@@ -619,17 +650,28 @@ def _prime_blocks(primes, bad_num: int):
 
 
 def _rational_parts(int_f, int_h, rows) -> tuple:
-    """Sorted (deg h_i, whether T^k h_i(T + 1/T) splits over Q) for the
-    factors h_i of h over Z, from the reductions (l, degrees of f mod l,
-    degrees of h mod l) already factored.  The lift of h_i divides f,
-    so the patterns of f bound the degrees of its factors."""
+    """(parts, relations) for _reachable_classes from the factors h_i of
+    h over Z: parts holds the sorted (deg h_i, whether T^k h_i(T + 1/T)
+    splits over Q), and relations the subsets of the disc(h_i) and
+    h_i(2) h_i(-2) whose product is a square, in the order of parts.
+
+    The factors come from the reductions (l, degrees of f mod l, degrees
+    of h mod l) already factored; the lift of h_i divides f, so the
+    patterns of f bound the degrees of its factors.  disc(h) is c^(2n -
+    2) prod disc(h_i) prod_{i<j} Res(h_i, h_j)^2 for h = c prod h_i, so
+    the last disc(h_i) has the square class of disc(h) times the others,
+    and an irreducible h needs no discriminant beyond disc(h)."""
     f_rows = [(ell, ft) for ell, ft, _ in rows if ft is not None]
     h_rows = [(ell, ht) for ell, _, ht in rows if ht is not None]
-    parts = []
-    for g in _factor_over_z(int_h, h_rows):
-        lift = trace_lift(Poly(g)).coeffs
-        parts.append((len(g) - 1, len(_factor_over_z(lift, f_rows)) > 1))
-    return tuple(sorted(parts))
+    factors = sorted(
+        ((len(g) - 1,
+          len(_factor_over_z(trace_lift(Poly(g)).coeffs, f_rows)) > 1), g)
+        for g in _factor_over_z(int_h, h_rows))
+    discs = [_int_discriminant(tuple(g)) for _, g in factors[:-1]]
+    discs.append(_int_discriminant(tuple(int_h)) * math.prod(discs))
+    values = [v for (_, g), a in zip(factors, discs)
+              for v in (a, _boundary_product(g))]
+    return tuple(part for part, _ in factors), _square_relations(values)
 
 
 def _resolvent_has_root(int_h, primes) -> bool:
@@ -681,17 +723,21 @@ def classify(P: Poly, prime_budget: int = 10 ** 4) -> GaloisCertificate:
     eps=1) or by an additional class-6 witness (odd N or eps=-1).
     Exhausting the budget yields status "Inconclusive", never an error.
 
+    disc(f) = h(2) h(-2) disc(h)^2 costs one resultant of degree n.
     By Stickelberger, (disc/l) = (-1)^(number of even-degree factors
-    mod l) at a good odd prime l, so a square disc(f), disc(h) or
-    disc(f) disc(h) rules some classes out at every prime (a square
-    disc(f) rules out class 6).  When the first block shows no class 1
-    and the discriminants allow it, h is factored over Q: with h
-    reducible no prime shows class 1, and the patterns mod l refine the
-    degrees of the rational factors.  For n = 4, once h is known to be
-    irreducible (a class-1 witness or its factorization), a rational
-    root of its resolvent cubic rules out class 2.  Each block factors f
-    and h mod l in one kernel pass (_batch_lift_degrees); a prime where
-    f is good has h good too.  The scan stops at the first prime where
+    mod l) at a good odd prime l.  Every product of the values disc(h_i)
+    and h_i(2) h_i(-2) of the rational factors h_i of h that is a
+    rational square forces the numbers of even-degree factors mod l of
+    the matching h_i and lifts to add up to an even number, which rules
+    classes out at every prime (with h as its one factor, a square
+    disc(f) rules out class 6).  When the first block leaves the goal
+    open, h and the lifts of its factors are factored over Q: with h
+    reducible no prime shows class 1, the patterns mod l refine the
+    degrees of the rational factors, and each factor brings its own
+    relations.  For n = 4 and h irreducible, a rational root of its
+    resolvent cubic rules out class 2.  Each block factors f and h mod
+    l in one kernel pass (_batch_lift_degrees); a prime where f is good
+    has h good too.  The scan stops at the first prime where
     every wanted class has a witness; when a wanted class is
     ruled out, it stops once every class still reachable has one, so
     the witnesses equal those of a scan of the whole budget.  A witness
@@ -723,7 +769,7 @@ def classify(P: Poly, prime_budget: int = 10 ** 4) -> GaloisCertificate:
     if f1 == 0 or fm1 == 0:
         return reject("boundary root: f(1) f(-1) = 0")
     int_f, den_f = _clear_denominators(f)
-    disc_f = _int_discriminant(tuple(int_f))
+    disc_f = _int_discriminant(tuple(int_f))      # from disc(h)
     if disc_f == 0:
         raise NotSeparableError("stripped core has a repeated factor")
 
@@ -731,31 +777,32 @@ def classify(P: Poly, prime_budget: int = 10 ** 4) -> GaloisCertificate:
     disc_sq = is_perfect_square(Fraction(disc_f))
     _check_kernel_prime(f.degree, prime_budget)   # before the sieve allocates
 
-    h = to_trace_form(f).h
-    int_h, den_h = _clear_denominators(h)
-    disc_h = _int_discriminant(tuple(int_h))
-    # a square discriminant has Legendre symbol +1 at every good prime,
-    # which rules out the classes of the patterns of the other parity
-    flags = (disc_sq, is_perfect_square(Fraction(disc_h)),
-             is_perfect_square(Fraction(disc_f * disc_h)))
-    reachable = _reachable_classes(n, *flags)
-    bad_num = abs(f1.numerator * fm1.numerator) * den_f * den_h
+    # int_h = den_f h is integral, so den_f holds every denominator of h
+    int_h = _int_trace_form(int_f)
+    # a square has Legendre symbol +1 at every good prime, which rules
+    # out the patterns whose parities do not fit
+    reachable = _reachable_classes(n, _square_relations(
+        [_int_discriminant(int_h), _boundary_product(int_h)]))
+    bad_num = abs(f1.numerator * fm1.numerator) * den_f
     witnesses: dict = {}
     needed = {1, 2, 3, 4, 5}
     even_plus = (N % 2 == 0 and sp.epsilon == 1)
     wanted = needed if even_plus else needed | {6}
+    # With a wanted class out of reach the certificate stays Inconclusive
+    # whatever the budget; the scan then only has to record the first
+    # witness of every class that can still appear, as a full scan would.
+    goal = wanted if wanted <= reachable else reachable
     primes = primes_up_to(prime_budget)
     for index, block in enumerate(_prime_blocks(primes[primes > 2], bad_num)):
-        if index == 1:
-            irreducible = 1 in witnesses
-            if 1 in reachable and not irreducible:
-                # No class 1 in the first block: factor h over Q.  With
-                # h reducible no prime shows class 1, and each h_i mod l
-                # refines deg h_i.
-                parts = _rational_parts(int_f, int_h, rows)
-                reachable = _reachable_classes(n, *flags, parts)
-                irreducible = len(parts) == 1
-            if (n == 4 and irreducible and 2 in reachable
+        if index == 1 and not goal <= witnesses.keys():
+            # The first block left the goal open: factor h and the lifts
+            # of its factors over Q.  With h reducible no prime shows
+            # class 1, each h_i mod l refines deg h_i, and the
+            # discriminants of the h_i and their lifts tie the parities
+            # of their patterns.
+            parts, relations = _rational_parts(int_f, int_h, rows)
+            reachable = _reachable_classes(n, relations, parts)
+            if (n == 4 and len(parts) == 1 and 2 in reachable
                     and 2 not in witnesses
                     and _resolvent_has_root(
                         int_h, [ell for ell, ft, _ in rows
@@ -767,11 +814,7 @@ def classify(P: Poly, prime_budget: int = 10 ** 4) -> GaloisCertificate:
                 raise ArithmeticError("a witness of a class that the "
                                       "factors of h or its resolvent "
                                       "rule out")
-        # With a wanted class out of reach the certificate stays
-        # Inconclusive whatever the budget; the scan then only has to
-        # record the first witness of every class that can still appear,
-        # as a full scan would.
-        goal = wanted if wanted <= reachable else reachable
+            goal = wanted if wanted <= reachable else reachable
         if goal <= witnesses.keys():
             break
         rows = [(ell, ft, ht) for ell, (ft, ht) in
@@ -846,13 +889,13 @@ def chebotarev_validate(f: Poly, claimed: WGroup, prime_bound: int = 10 ** 5,
         raise ValueError("degree of f does not match the claimed group")
     stats = class_statistics(n, claimed.plus)
     _check_kernel_prime(2 * n, prime_bound)   # before the sieve allocates
-    h = to_trace_form(fm).h
+    to_trace_form(fm)        # raises NotReciprocalError unless reciprocal
+    # den_f h is integral (_int_trace_form), so den_f holds every
+    # denominator of h
     int_f, den_f = _clear_denominators(fm)
-    _, den_h = _clear_denominators(h)
     primes = primes_up_to(prime_bound)
     primes = primes[primes > 2]
-    ok = np.array([den_f % int(l) != 0 and den_h % int(l) != 0
-                   for l in primes])
+    ok = np.array([den_f % int(l) != 0 for l in primes])
     primes = primes[ok]
     # one kernel pass per block of BLOCK_ROWS primes bounds its arrays
     counts = Counter(

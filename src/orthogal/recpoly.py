@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -102,16 +103,38 @@ class TraceForm:
     h: Poly
 
 
-def _basis_poly(n: int, k: int, F) -> Poly:
-    """T^(n-k) (T^2+1)^k, the expansion of T^n (T+1/T)^k."""
-    return Poly([0] * (n - k) + [1], F) * (Poly([1, 0, 1], F) ** k)
+def _trace_coeffs(cs, F=None) -> list:
+    """Coefficients of h with f = T^n h(T + 1/T), for the coefficient
+    list cs of a palindromic f of even degree 2n, over Z, Q or F.
+
+    T^n (T + 1/T)^k = sum_j C(k, j) T^(n - k + 2j) is palindromic, and
+    its top term is T^(n + k).  So h_k is the coefficient of T^(n + k)
+    left once the terms of degree above k are taken off, top degree
+    first.  Only the upper half (T^n .. T^2n) is kept: f and every term
+    are palindromic, so the lower half goes to zero with it.  Exact in
+    the coefficient ring (integers stay integers: the leading
+    coefficient of each term is 1)."""
+    n = (len(cs) - 1) // 2
+    upper = list(cs[n:])              # upper[i]: the coefficient of T^(n+i)
+    hc = [0] * (n + 1)
+    for k in range(n, -1, -1):
+        c = hc[k] = upper[k]
+        if not c:
+            continue
+        for j in range((k + 1) // 2, k + 1):     # 2j - k >= 0
+            if F is None:
+                upper[2 * j - k] -= c * math.comb(k, j)
+            else:
+                upper[2 * j - k] = F.sub(upper[2 * j - k],
+                                         F.mul(c, F.from_int(math.comb(k, j))))
+    return hc
 
 
 def to_trace_form(f: Poly) -> TraceForm:
     """The unique monic h of degree n with f(T) = T^n h(T + 1/T).
 
-    Solved by exact triangular elimination against the basis
-    T^(n-k)(T^2+1)^k, top degree first.
+    Solved by exact triangular elimination on the coefficients
+    (_trace_coeffs), top degree first.
     """
     if f.is_zero() or f.degree % 2 != 0 or f.degree < 2:
         raise NotReciprocalError("need even degree >= 2")
@@ -122,29 +145,25 @@ def to_trace_form(f: Poly) -> TraceForm:
     F = f.field
     if F is not None and F.p == 2:
         raise ValueError("characteristic 2 unsupported")
-    n = f.degree // 2
-    residual = f
-    hc = [0] * (n + 1)
-    for k in range(n, -1, -1):
-        coeffs = residual.coeffs
-        c = coeffs[n + k] if n + k < len(coeffs) else 0
-        hc[k] = c
-        if c:
-            residual = residual - _basis_poly(n, k, F).scale(c)
-    if not residual.is_zero():
-        raise NotReciprocalError("no exact trace form (non-reciprocal input)")
-    return TraceForm(Poly(hc, F))
+    return TraceForm(Poly(_trace_coeffs(f.coeffs, F), F))
 
 
 def trace_lift(h: Poly) -> Poly:
-    """f(T) = T^n h(T + 1/T) expanded exactly."""
+    """f(T) = T^n h(T + 1/T) expanded exactly, term by term with
+    T^n (T + 1/T)^k = sum_j C(k, j) T^(n - k + 2j)."""
     F = h.field
     n = h.degree
-    out = Poly([], F)
+    out = [0] * (2 * n + 1)
     for k, c in enumerate(h.coeffs):
-        if c:
-            out = out + _basis_poly(n, k, F).scale(c)
-    return out
+        if not c:
+            continue
+        for j in range(k + 1):
+            i = n - k + 2 * j
+            if F is None:
+                out[i] += c * math.comb(k, j)
+            else:
+                out[i] = F.add(out[i], F.mul(c, F.from_int(math.comb(k, j))))
+    return Poly(out, F)
 
 
 def disc_identity(f: Poly):
@@ -231,62 +250,169 @@ def _partitions(n: int, largest: int, parts: int):
             yield (k,) + rest
 
 
-def _lift_patterns(sizes, spare: int):
-    """Factor degrees of the lift of an h with sizes[k] factors of degree
-    k, one list per way that at most `spare` of them split."""
-    if not sizes:
-        yield []
-        return
-    (k, m), rest = sizes[0], sizes[1:]
-    for s in range(min(m, spare) + 1):
-        for tail in _lift_patterns(rest, spare - s):
-            yield [2 * k] * (m - s) + [k] * (2 * s) + tail
+def _relation_basis(vectors) -> tuple:
+    """The reduced echelon basis of the F_2-span of the bit vectors: no
+    vector holds the leading bit of another.  A span has exactly one
+    such basis, so the sorted tuple is a canonical key."""
+    basis: list = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)          # clears b's leading bit from v
+        if v:
+            basis = [min(b, b ^ v) for b in basis] + [v]
+    return tuple(sorted(basis))
+
+
+def _square_relations(values) -> tuple:
+    """The subsets of the non-zero integers values (bit j for values[j])
+    whose product is a rational square, as _relation_basis of that
+    F_2-space.
+
+    No integer is factored.  The absolute values are refined by gcds
+    into a coprime base: a pair x, y with g = gcd(x, y) > 1 becomes x/g,
+    g, y/g, which lowers the product of the list, and every value stays
+    a product of powers of the list.  For pairwise coprime p, a product
+    +-prod p^(E_p) is a square exactly when its sign is + and each
+    p^(E_p) is a square (the p share no prime), and p^E with E odd is a
+    square exactly when p is.  So the product of a subset is a square
+    exactly when its bit vector (sign, E_p mod 2 for each base element p
+    that is no square) sums to zero over the subset, and the relations
+    are the kernel of that F_2-linear map, found by elimination."""
+    values = [int(v) for v in values]
+    if not all(values):
+        raise ValueError("square classes of zero")
+    base: list = []
+    todo = [abs(v) for v in values]
+    while todo:
+        x = todo.pop()
+        if x == 1:
+            continue
+        for i, y in enumerate(base):
+            g = math.gcd(x, y)
+            if g > 1:
+                del base[i]
+                todo += [y // g, g, x // g]
+                break
+        else:
+            base.append(x)
+    base = [p for p in base if math.isqrt(p) ** 2 != p]
+    pivots: dict = {}                  # leading bit -> (image, subset)
+    kernel = []
+    for j, v in enumerate(values):
+        image = int(v < 0)
+        for t, p in enumerate(base, 1):
+            v, e = abs(v), 0
+            while v % p == 0:
+                v, e = v // p, e + 1
+            image |= (e & 1) << t
+        subset = 1 << j
+        while image:
+            top = image.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = (image, subset)
+                break
+            image ^= pivots[top][0]
+            subset ^= pivots[top][1]
+        else:
+            kernel.append(subset)
+    return _relation_basis(kernel)
+
+
+def _part_patterns(d: int, splits: bool):
+    """(h_i mod l, its lift mod l, parity bits) for a rational factor
+    h_i of degree d, over the patterns whose lift has at most eight
+    factors.  A factor of degree k lifts to [2k] or [k, k], always to
+    [k, k] when splits (see _reachable_classes).  Bit 0 is the parity
+    of the number of even-degree factors of h_i, bit 1 that of its
+    lift.  Each unsplit [2k] is even and each split pair [k, k] adds an
+    even count, so bit 1 is the parity of the number of unsplit
+    factors, which is that of the length of the lift pattern."""
+    for ks in _partitions(d, d, 8):
+        h_bit = sum(k % 2 == 0 for k in ks) & 1
+        if splits:
+            if 2 * len(ks) <= 8:
+                yield ks, tuple(k for k in ks for _ in (0, 1)), h_bit
+            continue
+        # the ways that s of the m factors of each degree k split
+        spare = 8 - len(ks)
+        pieces = [[(2 * k,) * (m - s) + (k,) * (2 * s)
+                   for s in range(min(m, spare) + 1)]
+                  for k, m in Counter(ks).items()]
+        for choice in itertools.product(*pieces):
+            fs = tuple(itertools.chain.from_iterable(choice))
+            if len(fs) <= 8:
+                yield ks, fs, h_bit | (len(fs) & 1) << 1
 
 
 @functools.lru_cache(maxsize=256)
-def _reachable_classes(n: int, f_square: bool, h_square: bool,
-                       fh_square: bool, parts: tuple = ()) -> frozenset:
-    """The classes a good odd prime l can show for a degree-n h whose
-    disc(f), disc(h) and disc(f) disc(h) are squares mod l where
-    flagged (an unflagged one may be either).
+def _reachable_classes(n: int, relations: tuple = (),
+                       parts: tuple = ()) -> frozenset:
+    """The classes a good odd prime l can show for a degree-n h with the
+    rational factors parts and the parity relations relations.
 
-    parts: the sorted pairs (deg h_i, whether T^k h_i(T + 1/T) splits
-    over Q) for the factors h_i of h over Q; empty means ((n, False),),
-    an h taken as irreducible.  Each h_i mod l is a partition of
-    deg h_i, and a part of degree k lifts to [2k] or [k, k], always to
-    [k, k] when the lift of h_i splits over Q: its two factors over Q
-    take one root of each pair a, 1/a, and stay coprime mod l.
+    parts: the pairs (deg h_i, whether T^k h_i(T + 1/T) splits over Q)
+    for the factors h_i of h over Q; empty means ((n, False),), an h
+    taken as irreducible.  Each h_i mod l is a partition of deg h_i, and
+    a part of degree k lifts to [2k] or [k, k], always to [k, k] when
+    the lift of h_i splits over Q: its two factors over Q take one root
+    of each pair a, 1/a, and stay coprime mod l.
 
-    By Stickelberger a squarefree reduction has (disc/l) =
-    (-1)^(number of even-degree factors).  Patterns with more than
-    eight f-factors are skipped, as classify skips those primes.  The
-    classes of the pairs whose parities fit the flags come from
-    classes_from_degrees.
+    relations: the canonical basis (_square_relations) of the subsets
+    of a_1, b_1, a_2, b_2, ... whose product is a rational square, where
+    a_i = disc(h_i) and b_i = h_i(2) h_i(-2); bit 2i stands for a_i and
+    bit 2i + 1 for b_i, in the order of parts.  A subset gives the
+    relation that the numbers of even-degree factors mod l of its
+    members (h_i for a_i, the lift f_i of h_i for b_i) add up to an even
+    number.
+
+    Proof.  At a good l, f = c prod f_i mod l keeps its degree and is
+    squarefree, so each f_i and h_i is too (disc f_i = b_i disc(h_i)^2,
+    and lc h_i divides lc h), and l divides no a_i, b_i.  Stickelberger:
+    a squarefree g of full degree over F_l has (disc(g)/l) = (-1)^(number
+    of even-degree factors), whatever its leading coefficient, as
+    disc(c g) = c^(2 deg g - 2) disc(g).  disc f_i = b_i disc(h_i)^2
+    (recpoly.disc_identity; both sides scale by c^(4k - 2) when h_i has
+    leading coefficient c), so (b_i/l) is the sign of f_i mod l, and
+    (a_i/l) that of h_i mod l.  A rational square prime to l has
+    Legendre symbol 1, so the product of the signs over a relation is 1.
+
+    The three flags of disc(f), disc(h) and their product are the
+    one-part case: disc(f) = b disc(h)^2 has the square class of b.
+    Patterns are listed part by part with their parity bits, the
+    largest part lazily; pairs with more than eight f-factors are
+    skipped, as classify skips those primes.  The classes of the pairs
+    that meet every relation come from classes_from_degrees, and the
+    walk stops once all six are found.
     """
     parts = parts or ((n, False),)
     if sum(d for d, _ in parts) != n:
         raise ValueError(f"factor degrees {parts} do not add up to {n}")
+    if any(r >> 2 * len(parts) for r in relations):
+        raise ValueError(f"relations {relations} name a missing part")
+    order = sorted(range(len(parts)), key=lambda i: -parts[i][0])
+    # every combination of the smaller parts, merged once
+    rest = [((), (), 0)]
+    for i in order[1:]:
+        rest = [(hs + ks, fs + ls, bits | b << 2 * i)
+                for hs, fs, bits in rest
+                for ks, ls, b in _part_patterns(*parts[i])
+                if len(fs) + len(ls) <= 8]
+    fits: dict = {}                    # parity bits -> whether they fit
     out: set = set()
-    seen = set()
-    for patterns in itertools.product(*(_partitions(d, d, 8)
-                                        for d, _ in parts)):
-        free = tuple(sorted(k for (_, lifts), ks in zip(parts, patterns)
-                            if not lifts for k in ks))
-        forced = tuple(sorted(k for (_, lifts), ks in zip(parts, patterns)
-                              if lifts for k in ks))
-        spare = 8 - len(free) - 2 * len(forced)
-        if spare < 0 or (free, forced) in seen:
-            continue
-        seen.add((free, forced))
-        hdeg = free + forced
-        h_odd = sum(k % 2 == 0 for k in hdeg) % 2
-        for fdeg in _lift_patterns(sorted(Counter(free).items()), spare):
-            fdeg = fdeg + [k for k in forced for _ in (0, 1)]
-            f_odd = sum(k % 2 == 0 for k in fdeg) % 2
-            if ((f_square and f_odd) or (h_square and h_odd)
-                    or (fh_square and f_odd != h_odd)):
+    for ks, fs, bits in _part_patterns(*parts[order[0]]):
+        bits <<= 2 * order[0]
+        for hs, ls, more in rest:
+            if len(fs) + len(ls) > 8:
                 continue
-            out |= classes_from_degrees(hdeg, fdeg)
+            mask = bits | more
+            ok = fits.get(mask)
+            if ok is None:
+                ok = fits[mask] = not any((r & mask).bit_count() & 1
+                                          for r in relations)
+            if ok:
+                out |= classes_from_degrees(ks + hs, fs + ls)
+        if len(out) == 6:
+            break
     return frozenset(out)
 
 

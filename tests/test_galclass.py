@@ -31,6 +31,10 @@ def test_primes_up_to():
     got = list(primes_up_to(200))
     assert got == [n for n in range(201) if trial(n)]
     assert list(primes_up_to(1)) == []
+    # sieved once per bound, and shared read-only
+    assert primes_up_to(200) is primes_up_to(200)
+    with pytest.raises(ValueError):
+        primes_up_to(200)[0] = 4
 
 
 def _assert_matches_single_prime(coeffs, primes, results):
@@ -752,6 +756,12 @@ def _classify_corpus():
     corpus += [trace_lift(Poly([-5, 0, 1])),
                trace_lift(Poly([-5, 0, 1]) * rand_h(3)),
                trace_lift(Poly([1, 0, -10, 0, 1]))]
+    # reducible h whose scans the discriminants of the factors and their
+    # lifts cut short: partners of x^2 - 2, x^2 - 3, x^2 - 5 and x^2 + 1,
+    # and a linear factor times a cubic
+    corpus += [trace_lift(Poly(p) * rand_h(2))
+               for p in ([-2, 0, 1], [-3, 0, 1], [-5, 0, 1], [1, 0, 1])]
+    corpus += [trace_lift(Poly([rng.randint(-6, 6), 1]) * rand_h(3))]
     # irreducible quartic h with Gal(h) inside a D4 (D4, C4, D4 with a
     # denominator), whose resolvent cubic has a rational root
     corpus += [trace_lift(Poly([-2, 0, 0, 0, 1])),
@@ -820,22 +830,44 @@ def test_classify_stops_early_when_h_is_reducible(monkeypatch):
     assert len(rows) == 1 and sum(rows) <= 32
 
 
-def test_classify_computes_two_discriminants(monkeypatch):
+def test_classify_computes_one_discriminant(monkeypatch):
+    # disc(f) comes from disc(h), so the input costs one discriminant,
+    # of degree n; a factored h adds those of its rational factors but
+    # the largest, whose square class follows from disc(h)
     calls = []
 
     def counting(f):
-        calls.append(f)
+        calls.append(f.degree)
         return discriminant(f)
 
     monkeypatch.setattr(galclass, "discriminant", counting)
-    for P in (trace_lift(Poly([-3, 1]) * Poly([-3, 0, 1])),
-              trace_lift(Poly([-2, 0, 0, 0, 1])) * Poly([1, 0, -1]),
-              Poly([Fraction(7, 3), 5, Fraction(7, 3)])
-              * Poly([1, 0, 3, 0, 1])):
+    for P, degrees in (
+            (trace_lift(Poly([-3, 1]) * Poly([-3, 0, 1])), [1, 3]),
+            (trace_lift(Poly([-2, 0, 0, 0, 1])) * Poly([1, 0, -1]), [4]),
+            (trace_lift(Poly([-3, -1, 1])), [2]),
+            (Poly([Fraction(7, 3), 5, Fraction(7, 3)])
+             * Poly([1, 0, 3, 0, 1]), [1, 3])):
         galclass._int_discriminant.cache_clear()
         calls.clear()
         classify(P)
-        assert len(calls) == 2
+        assert sorted(calls) == degrees
+    galclass._int_discriminant.cache_clear()
+
+
+def test_int_discriminant_of_a_palindrome_is_the_resultant():
+    # disc(F) = H(2) H(-2) disc(H)^2 for F = T^n H(T + 1/T), whatever
+    # the leading coefficient; other polynomials go to the resultant
+    rng = random.Random(43)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        H = [rng.randint(-9, 9) for _ in range(n)] + [rng.choice([1, -2, 3])]
+        F = [int(c) for c in trace_lift(Poly(H)).coeffs]
+        galclass._int_discriminant.cache_clear()
+        assert galclass._int_discriminant(tuple(F)) \
+            == discriminant(Poly(F)), F
+        assert galclass._int_trace_form(F) == tuple(H)
+    for cs in ([1, 2, 3], [-3, 1, 0, 1], [2, 0, 5, 0, 2, 1]):
+        assert galclass._int_discriminant(tuple(cs)) == discriminant(Poly(cs))
     galclass._int_discriminant.cache_clear()
 
 
@@ -846,8 +878,10 @@ def _reductions_below(int_coeffs, bound):
 
 
 def test_rational_parts_contain_every_prime():
-    # for reducible h the classes of every good prime below 10^4 lie in
-    # the set refined by the factorization of h, and class 1 is not in it
+    # for reducible h the classes of every good prime below 10^5 lie in
+    # the set refined by the factorization of h and the relations of the
+    # factors' discriminants, and class 1 is not in it; among the h are
+    # partners of x^2 - 2, x^2 - 3, x^2 - 5 and x^2 + 1
     rng = random.Random(29)
 
     def rand_h(n):
@@ -857,28 +891,63 @@ def test_rational_parts_contain_every_prime():
           rand_h(1) * rand_h(1) * rand_h(2), Poly([-5, 0, 1]) * rand_h(2),
           Poly([Fraction(-5, 2), 1]) * rand_h(3),
           Poly([-3, 1]) * Poly([-3, 0, 1])]
+    hs += [Poly(p) * rand_h(2) for p in ([-2, 0, 1], [-3, 0, 1], [1, 0, 1])]
+    hs += [rand_h(2) * rand_h(2), rand_h(1) * rand_h(3)]
+    checked = 0
     for h in hs:
         f = trace_lift(h)
         if discriminant(f) == 0 or f(1) == 0 or f(-1) == 0:
             continue
         int_f, _ = galclass._clear_denominators(f)
         int_h, _ = galclass._clear_denominators(h)
-        disc_f, disc_h = discriminant(f), discriminant(h)
         rows = [(ell, ft, ht) for (ell, ft), (_, ht) in
-                zip(_reductions_below(int_f, 10 ** 4),
-                    _reductions_below(int_h, 10 ** 4))]
-        parts = galclass._rational_parts(int_f, int_h, rows[:32])
+                zip(_reductions_below(int_f, 10 ** 5),
+                    _reductions_below(int_h, 10 ** 5))]
+        parts, relations = galclass._rational_parts(int_f, int_h, rows[:32])
         assert len(parts) >= 2, h
-        reachable = galclass._reachable_classes(
-            h.degree, is_perfect_square(Fraction(disc_f)),
-            is_perfect_square(Fraction(disc_h)),
-            is_perfect_square(Fraction(disc_f * disc_h)), parts)
+        reachable = galclass._reachable_classes(h.degree, relations, parts)
         assert 1 not in reachable
         for ell, ft, ht in rows:
             if ft is None or ht is None or len(ft) > 8:
                 continue
             assert galclass.classes_from_degrees(ht, ft) <= reachable, \
-                (h, ell, parts)
+                (h, ell, parts, relations)
+        checked += 1
+    assert checked >= 10
+
+
+def _quadratic_products(seed, count):
+    """Lifts of count products of two distinct monic irreducible
+    quadratics with coefficients in [-5, 5]."""
+    rng = random.Random(seed)
+
+    def quadratic():
+        while True:
+            b, c = rng.randint(-5, 5), rng.randint(-5, 5)
+            if not is_perfect_square(Fraction(b * b - 4 * c)):
+                return Poly([c, b, 1])
+
+    out = []
+    while len(out) < count:
+        h1, h2 = quadratic(), quadratic()
+        if h1 != h2:
+            out.append(trace_lift(h1 * h2))
+    return out
+
+
+def test_full_budget_scans_of_quadratic_products(monkeypatch):
+    # a work guard, timing nothing: classify factors the last block of
+    # the 10^4 budget (blocks of 32, 224, 448, then the rest) only where
+    # no relation of the factors' discriminants settles the scan
+    rows = _record_rows(monkeypatch)
+    full = 0
+    for f in _quadratic_products(53, 40):
+        rows.clear()
+        classify(f)
+        full += len(rows) == 4
+    # the one left is (x^2 - 3)(x^2 + 2x - 2), waiting for class 6; the
+    # lift T^4 - T^2 + 1 of x^2 - 3 is cyclotomic
+    assert full == 1
 
 
 def test_classify_factors_primes_in_growing_blocks(monkeypatch):

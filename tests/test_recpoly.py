@@ -3,6 +3,7 @@ discriminant identity, the six-class machinery, and the irreducible
 bucket counts against a direct enumeration oracle."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -15,7 +16,18 @@ from orthogal.recpoly import (strip, reciprocal_sign, to_trace_form,
                               trace_lift, disc_identity, in_P_n, classify_H,
                               classes_from_degrees, in_F_class,
                               count_irreducible_classes,
-                              _odd_prime_power, _reachable_classes)
+                              _odd_prime_power, _reachable_classes,
+                              _relation_basis, _square_relations)
+
+
+def _flags(f_square, h_square, fh_square, parts=1):
+    """The relations of square disc(f), disc(h), disc(f) disc(h) where
+    flagged, over parts rational factors of h (bit 2i for h_i, bit
+    2i + 1 for its lift)."""
+    h_bits = sum(1 << 2 * i for i in range(parts))
+    return _relation_basis(v for v, on in zip(
+        (h_bits << 1, h_bits, 3 * h_bits), (f_square, h_square, fh_square))
+        if on)
 
 
 def _rand_h(rng, field, n, int_range=8):
@@ -105,6 +117,30 @@ def test_trace_lift_agrees_with_substitution():
             lhs = f(a)
             rhs = F.mul(F.pow(a, n), h(F.add(a, F.inv(a))))
             assert lhs == rhs
+
+
+def _lift_by_powers(h):
+    """T^n h(T + 1/T) summed from Poly powers T^(n-k) (T^2 + 1)^k: the
+    reference for the binomial expansion of trace_lift."""
+    F, n = h.field, h.degree
+    out = Poly([], F)
+    for k, c in enumerate(h.coeffs):
+        basis = Poly([0] * (n - k) + [1], F) * Poly([1, 0, 1], F) ** k
+        out = out + basis.scale(c)
+    return out
+
+
+@pytest.mark.parametrize("ring", [None, get_field(5), get_field(3, 2)])
+def test_trace_form_matches_the_power_expansion(ring):
+    rng = random.Random(31)
+    for _ in range(30):
+        h = _rand_h(rng, ring, rng.randrange(1, 9))
+        if ring is None and rng.random() < 0.5:   # rational coefficients
+            h = Poly([Fraction(c, rng.randint(1, 6)) for c in h.coeffs[:-1]]
+                     + [1])
+        f = _lift_by_powers(h)
+        assert trace_lift(h) == f
+        assert to_trace_form(f).h == h
 
 
 def test_to_trace_form_rejects_bad_inputs():
@@ -199,25 +235,28 @@ def test_reachable_classes_contain_every_reduction(ell):
                 continue
             chi_h = F.square_class(discriminant(h)).sign
             chi_f = F.square_class(discriminant(trace_lift(h))).sign
-            allowed = _reachable_classes(n, chi_f == 1, chi_h == 1,
-                                         chi_f * chi_h == 1)
+            allowed = _reachable_classes(n, _flags(chi_f == 1, chi_h == 1,
+                                                   chi_f * chi_h == 1))
             assert classify_H(h) <= allowed, (ell, h)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_reachable_classes_follow_the_parities(n):
     every = frozenset(range(1, 7))
-    assert _reachable_classes(n, False, False, False) == every
+    assert _reachable_classes(n, _flags(False, False, False)) == every
     # a square disc(f) leaves an even number of even f-factors
-    assert 6 not in _reachable_classes(n, True, False, False)
+    assert 6 not in _reachable_classes(n, _flags(True, False, False))
     # a square disc(f) disc(h): class 5 needs an odd number of even
     # factors across h and f, except for n = 1, where every h shows it
-    assert (5 in _reachable_classes(n, False, False, True)) == (n == 1)
-    assert 6 not in _reachable_classes(n, False, False, True)
+    assert (5 in _reachable_classes(n, _flags(False, False, True))) \
+        == (n == 1)
+    assert 6 not in _reachable_classes(n, _flags(False, False, True))
     # a square disc(h): no single quadratic h-factor, and h irreducible
     # only for odd n
-    assert 3 not in _reachable_classes(n, False, True, False) or n == 1
-    assert (1 in _reachable_classes(n, False, True, False)) == (n % 2 == 1)
+    assert 3 not in _reachable_classes(n, _flags(False, True, False)) \
+        or n == 1
+    assert (1 in _reachable_classes(n, _flags(False, True, False))) \
+        == (n % 2 == 1)
 
 
 def test_in_F_class_consistency():
@@ -345,27 +384,98 @@ def test_reachable_classes_of_a_product_contain_every_reduction(ell):
                     chi_f = F.square_class(
                         discriminant(trace_lift(h))).sign
                     allowed = _reachable_classes(
-                        n, chi_f == 1, chi_h == 1, chi_f * chi_h == 1,
+                        n, _flags(chi_f == 1, chi_h == 1,
+                                  chi_f * chi_h == 1, parts=2),
                         tuple(sorted((part(h1), part(h2)))))
                     assert classify_H(h) <= allowed, (ell, h1, h2)
 
 
+def _is_square(v):
+    return v > 0 and math.isqrt(v) ** 2 == v
+
+
+def test_square_relations_are_the_square_subsets():
+    # the span of the relations is exactly the set of subsets whose
+    # product is a rational square, with squares, signs, repeats and
+    # shared factors
+    rng = random.Random(37)
+    lists = [[2, 8, 3, 6], [-1, -4, 9, 5], [12, 18, 75, -3, 1], [7, 7, 7]]
+    lists += [[rng.choice([-1, 1]) * rng.randint(1, 60)
+               for _ in range(rng.randint(1, 7))] for _ in range(40)]
+    for values in lists:
+        basis = _square_relations(values)
+        span = {0}
+        for r in basis:
+            span |= {v ^ r for v in span}
+        assert len(span) == 2 ** len(basis)
+        square = {mask for mask in range(1 << len(values))
+                  if _is_square(math.prod(v for j, v in enumerate(values)
+                                          if mask >> j & 1))}
+        assert span == square, values
+        assert _square_relations(values) == basis
+    with pytest.raises(ValueError):
+        _square_relations([3, 0])
+
+
+def test_relation_basis_is_canonical():
+    rng = random.Random(41)
+    for _ in range(50):
+        vecs = [rng.randrange(1, 64) for _ in range(rng.randint(1, 5))]
+        basis = _relation_basis(vecs)
+        mixed = [vecs[0] ^ v for v in vecs[1:]] + [vecs[0]]
+        rng.shuffle(mixed)
+        assert _relation_basis(mixed) == basis
+        leads = [b.bit_length() - 1 for b in basis]
+        assert all(not b >> t & 1 for b in basis for t in leads
+                   if t != b.bit_length() - 1)
+
+
+@pytest.mark.parametrize("ell", [3, 5])
+def test_reachable_classes_of_the_factor_symbols_contain_the_reduction(ell):
+    # h = h1 h2 (h3) over F_l: with the Legendre symbols of disc(h_i)
+    # and h_i(2) h_i(-2) as relations, classify_H(h) is reachable
+    F = get_field(ell)
+
+    def part(g):
+        doubled = sorted(k for k in factor_degrees(g) for _ in (0, 1))
+        symbols = (F.square_class(discriminant(g)).sign,
+                   F.square_class(F.mul(g.eval_int(2), g.eval_int(-2))).sign)
+        return (g.degree, factor_degrees(trace_lift(g)) == doubled), symbols
+
+    shapes = [(1, 1), (1, 2), (1, 3), (2, 2), (1, 1, 2)]
+    checked = 0
+    for shape in shapes:
+        for hs in itertools.product(*(list(_monic_polys(F, d))
+                                      for d in shape)):
+            h = math.prod(hs[1:], start=hs[0])
+            if not in_P_n(h):
+                continue
+            pairs = sorted(part(g) for g in hs)
+            relations = _square_relations(
+                [v for _, symbols in pairs for v in symbols])
+            allowed = _reachable_classes(
+                h.degree, relations, tuple(p for p, _ in pairs))
+            assert classify_H(h) <= allowed, (ell, hs)
+            checked += 1
+    assert checked
+
+
 def test_reachable_classes_refine_by_rational_factors():
     every = frozenset(range(1, 7))
-    assert _reachable_classes(4, False, False, False, ((4, False),)) == every
+    assert _reachable_classes(4, (), ((4, False),)) == every
     # two quadratic factors: no class 1, and no degree-3 factor (class 2)
-    assert _reachable_classes(4, False, False, False,
-                              ((2, False), (2, False))) == {3, 4, 5, 6}
+    assert _reachable_classes(4, (), ((2, False), (2, False))) \
+        == {3, 4, 5, 6}
     # ... and with split lifts every f-pattern is doubled
-    assert _reachable_classes(4, False, False, False,
-                              ((2, True), (2, True))) == {3, 5}
+    assert _reachable_classes(4, (), ((2, True), (2, True))) == {3, 5}
     for n in range(2, 9):
         for flags in itertools.product((False, True), repeat=3):
-            whole = _reachable_classes(n, *flags)
+            whole = _reachable_classes(n, _flags(*flags))
             for d in range(1, n // 2 + 1):
                 for lifts in itertools.product((False, True), repeat=2):
                     parts = tuple(sorted(zip((d, n - d), lifts)))
-                    refined = _reachable_classes(n, *flags, parts)
+                    refined = _reachable_classes(
+                        n, _flags(*flags, parts=2), parts)
                     assert refined <= whole and 1 not in refined
     with pytest.raises(ValueError):
-        _reachable_classes(4, False, False, False, ((1, False), (2, False)))
+        _reachable_classes(4, (), ((1, False), (2, False)))
