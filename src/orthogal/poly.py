@@ -2,9 +2,12 @@
 Dense univariate polynomials with exact coefficients.
 
 A Poly is a coefficient tuple in ascending order plus a ring tag:
-field=None means integer (or Fraction) coefficients, field=Fq means the
-coefficients are ints encoding elements of that finite field (see
-ffield).  All algorithms are exact; there is no floating point.
+field=None means rational coefficients (ints and Fractions), field=Fq
+means the coefficients are ints encoding elements of that finite field
+(see ffield).  Both rings share one scalar interface, Fq's (from_int,
+add, sub, neg, mul, inv, div), with QQ the rationals; Poly reads it from
+its ring property, so every algorithm is written once.  All arithmetic
+is exact; there is no floating point.
 
 Factorization over F_q is the classical three-stage pipeline:
 squarefree decomposition, distinct-degree splitting, then a randomized
@@ -16,6 +19,7 @@ Hensel lifting from one good prime, then recombination.
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -25,29 +29,76 @@ from .ffield import (Fq, get_field, _is_prime, _poly_mul_mod_p,
                      _poly_rem_mod_p, _prime_factors)
 
 
+def _integral(c):
+    """c itself, or the int it equals when it is an integral Fraction."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+class _Rationals:
+    """Q with the scalar interface of Fq, on ints and Fractions: an
+    integral product or quotient comes back as an int."""
+
+    p, e = 0, 1                  # characteristic 0, a prime field
+    add, sub, neg = operator.add, operator.sub, operator.neg
+
+    def __repr__(self):
+        return "QQ"
+
+    @staticmethod
+    def from_int(n):
+        return n
+
+    @staticmethod
+    def mul(a, b):
+        return _integral(a * b)
+
+    @staticmethod
+    def div(a, b):
+        return _integral(Fraction(a, b))
+
+    def inv(self, a):
+        return self.div(1, a)
+
+
+QQ = _Rationals()
+
+
+def _field_code(c, field: Fq) -> int:
+    """The code of the integer c in field: canonical codes pass through,
+    and other integers are read as integer images (so a negative c is
+    -|c|, also over extension fields)."""
+    n = int(c)
+    if n != c:
+        raise TypeError(f"coefficient {c!r} is not an integer")
+    return n if 0 <= n < field.q else field.from_int(n)
+
+
 class Poly:
     __slots__ = ("coeffs", "field")
 
     def __init__(self, coeffs, field: Fq | None = None):
         if field is not None:
-            # canonical codes pass through; out-of-range ints are read as
-            # integer images (relevant for negatives over extension fields)
-            coeffs = [int(c) if 0 <= c < field.q else field.from_int(int(c))
-                      for c in coeffs]
+            q = field.q
+            coeffs = [c if type(c) is int and 0 <= c < q
+                      else _field_code(c, field) for c in coeffs]
         coeffs = list(coeffs)
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
         self.field = field
 
+    @property
+    def ring(self):
+        """The coefficient ring: the Fq, or QQ for field=None."""
+        return self.field or QQ
+
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def from_int_coeffs(coeffs, field: Fq | None = None) -> "Poly":
         """Reduce integer coefficients into the target ring."""
-        if field is None:
-            return Poly(coeffs)
-        return Poly([field.from_int(c) if isinstance(c, int) else c for c in coeffs], field)
+        R = field or QQ
+        return Poly([R.from_int(c) if isinstance(c, int) else c for c in coeffs], field)
 
     @staticmethod
     def x(field=None) -> "Poly":
@@ -97,24 +148,18 @@ class Poly:
 
     def __add__(self, other):
         other = self._same_ring(other)
-        F = self.field
+        add = self.ring.add
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
-        if F is None:
-            for i, c in enumerate(b):
-                out[i] = out[i] + c
-        else:
-            for i, c in enumerate(b):
-                out[i] = F.add(out[i], c)
-        return Poly(out, F)
+        for i, c in enumerate(b):
+            out[i] = add(out[i], c)
+        return Poly(out, self.field)
 
     def __neg__(self):
-        F = self.field
-        if F is None:
-            return Poly([-c for c in self.coeffs], None)
-        return Poly([F.neg(c) for c in self.coeffs], F)
+        neg = self.ring.neg
+        return Poly([neg(c) for c in self.coeffs], self.field)
 
     def __sub__(self, other):
         return self + (-self._same_ring(other))
@@ -123,34 +168,29 @@ class Poly:
         other = self._same_ring(other)
         if self.is_zero() or other.is_zero():
             return Poly([], self.field)
-        F = self.field
+        R = self.ring
         a, b = self.coeffs, other.coeffs
         out = [0] * (len(a) + len(b) - 1)
-        if F is None:
+        if R.e == 1:
+            # Q and F_p: plain products; over F_p reduced once at the end
             for i, ai in enumerate(a):
                 if ai:
                     for j, bj in enumerate(b):
                         out[i + j] += ai * bj
-        elif F.e == 1:
-            p = F.p
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        out[i + j] += ai * bj
-            out = [c % p for c in out]
+            if R.p:
+                p = R.p
+                out = [c % p for c in out]
         else:
             for i, ai in enumerate(a):
                 if ai:
                     for j, bj in enumerate(b):
-                        out[i + j] = F.add(out[i + j], F.mul(ai, bj))
-        return Poly(out, F)
+                        out[i + j] = R.add(out[i + j], R.mul(ai, bj))
+        return Poly(out, self.field)
 
     def scale(self, c):
         """Multiply by a ring constant."""
-        F = self.field
-        if F is None:
-            return Poly([c * a for a in self.coeffs], None)
-        return Poly([F.mul(c, a) for a in self.coeffs], F)
+        mul = self.ring.mul
+        return Poly([mul(c, a) for a in self.coeffs], self.field)
 
     def __pow__(self, n: int):
         result = Poly([1], self.field)
@@ -164,12 +204,12 @@ class Poly:
         return result
 
     def divmod(self, other):
-        """Quotient and remainder.  Over field=None the division must be
-        by a polynomial whose leading coefficient divides exactly at
-        every step (use Fractions otherwise)."""
+        """Quotient and remainder, exact in the coefficient ring (over Q
+        a non-unit leading coefficient gives Fraction quotients)."""
         other = self._same_ring(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
+        R = self.ring
         F = self.field
         a = list(self.coeffs)
         b = other.coeffs
@@ -177,28 +217,13 @@ class Poly:
         if len(a) - 1 < db:
             return Poly([], F), Poly(a, F)
         q = [0] * (len(a) - db)
-        if F is None:
-            lead = b[-1]
-            for i in range(len(a) - 1, db - 1, -1):
-                if a[i]:
-                    if isinstance(a[i], Fraction) or isinstance(lead, Fraction) \
-                       or a[i] % lead == 0:
-                        c = Fraction(a[i], lead) if lead != 1 else a[i]
-                        if isinstance(c, Fraction) and c.denominator == 1:
-                            c = c.numerator
-                    else:
-                        c = Fraction(a[i], lead)
-                    q[i - db] = c
-                    for j in range(db + 1):
-                        a[i - db + j] = a[i - db + j] - c * b[j]
-        else:
-            inv = F.inv(b[-1])
-            for i in range(len(a) - 1, db - 1, -1):
-                if a[i]:
-                    c = F.mul(a[i], inv)
-                    q[i - db] = c
-                    for j in range(db + 1):
-                        a[i - db + j] = F.sub(a[i - db + j], F.mul(c, b[j]))
+        inv = R.inv(b[-1])
+        for i in range(len(a) - 1, db - 1, -1):
+            if a[i]:
+                c = R.mul(a[i], inv)
+                q[i - db] = c
+                for j in range(db + 1):
+                    a[i - db + j] = R.sub(a[i - db + j], R.mul(c, b[j]))
         return Poly(q, F), Poly(a[:db], F)
 
     def __floordiv__(self, other):
@@ -217,49 +242,29 @@ class Poly:
     # -- calculus and evaluation ------------------------------------------
 
     def derivative(self):
-        F = self.field
-        if self.degree <= 0:
-            return Poly([], F)
-        if F is None:
-            out = [i * c for i, c in enumerate(self.coeffs)][1:]
-        else:
-            out = [F.mul(i % F.p, c) for i, c in enumerate(self.coeffs)][1:]
-        return Poly(out, F)
+        R = self.ring
+        return Poly([R.mul(R.from_int(i), c)
+                     for i, c in enumerate(self.coeffs) if i], self.field)
 
     def __call__(self, x):
-        """Evaluate (Horner).  x is a ring element of the same ring."""
-        F = self.field
+        """Evaluate (Horner).  x is a ring element of the same ring; a
+        negative int stands for -|x|."""
+        R = self.ring
+        if isinstance(x, int) and x < 0:
+            x = R.from_int(x)
         acc = 0
-        if F is None:
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-        else:
-            if isinstance(x, int) and x < 0:
-                x %= F.q if F.e == 1 else F.p  # negative int stands for -|x| in F_p
-            for c in reversed(self.coeffs):
-                acc = F.add(F.mul(acc, x), c)
+        for c in reversed(self.coeffs):
+            acc = R.add(R.mul(acc, x), c)
         return acc
 
     def eval_int(self, n: int):
-        """Evaluate at the image of the integer n (field coefficients)."""
-        F = self.field
-        if F is None:
-            return self(n)
-        return self(F.from_int(n))
+        """Evaluate at the image of the integer n."""
+        return self(self.ring.from_int(n))
 
     def monic(self):
-        if self.is_zero():
+        if self.is_zero() or self.lc == 1:
             return self
-        F = self.field
-        if F is None:
-            lead = self.coeffs[-1]
-            if lead == 1:
-                return self
-            out = [Fraction(c, lead) for c in self.coeffs]
-            out = [c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
-                   for c in out]
-            return Poly(out, None)
-        return self.scale(F.inv(self.lc))
+        return self.scale(self.ring.inv(self.lc))
 
     def reverse(self):
         """T^deg * f(1/T)."""
@@ -276,15 +281,10 @@ class Poly:
     # -- gcd -------------------------------------------------------------
 
     def gcd(self, other):
-        """Monic gcd over a field; over ℚ via Fractions when field=None."""
+        """Monic gcd over the coefficient field, Q or F_q."""
         a, b = self, self._same_ring(other)
-        if a.field is None:
-            a = Poly([Fraction(c) for c in a.coeffs])
-            b = Poly([Fraction(c) for c in b.coeffs])
         while not b.is_zero():
             a, b = b, a % b
-        if a.is_zero():
-            return a
         return a.monic()
 
     def is_squarefree(self) -> bool:
@@ -444,17 +444,9 @@ def discriminant(f: Poly):
     fp = f.derivative()
     if fp.is_zero():
         return 0
-    r = resultant(f, fp)
-    F = f.field
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    if F is None:
-        val = Fraction(r, f.lc) if not isinstance(r, Fraction) else r / f.lc
-        val = sign * val
-        if isinstance(val, Fraction) and val.denominator == 1:
-            return val.numerator
-        return val
-    val = F.div(r, f.lc)
-    return F.neg(val) if sign < 0 else val
+    R = f.ring
+    val = R.div(resultant(f, fp), f.lc)
+    return R.neg(val) if (d * (d - 1) // 2) % 2 else val
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import BudgetExceededError, NotReciprocalError
 from .ffield import get_field, SquareClass, _is_prime, _prime_factors
-from .poly import Poly, factor_degrees
+from .poly import Poly, QQ, discriminant, factor_degrees
+from .signedperm import _partitions
 
 
 # ---------------------------------------------------------------------------
@@ -52,18 +53,13 @@ class StrippedPoly:
         return self.f.degree // 2
 
 
-def _negate(c, F):
-    return -c if F is None else F.neg(c)
-
-
 def reciprocal_sign(P: Poly):
     """eps with T^N P(1/T) = eps P(T), or None."""
     rev = list(reversed(P.coeffs))
     fwd = list(P.coeffs)
     if rev == fwd:
         return 1
-    F = P.field
-    if rev == [_negate(c, F) for c in fwd]:
+    if rev == [P.ring.neg(c) for c in fwd]:
         return -1
     return None
 
@@ -103,9 +99,10 @@ class TraceForm:
     h: Poly
 
 
-def _trace_coeffs(cs, F=None) -> list:
+def _trace_coeffs(cs, R=QQ) -> list:
     """Coefficients of h with f = T^n h(T + 1/T), for the coefficient
-    list cs of a palindromic f of even degree 2n, over Z, Q or F.
+    list cs of a palindromic f of even degree 2n, over the ring R (QQ,
+    which keeps integers integral, or an Fq).
 
     T^n (T + 1/T)^k = sum_j C(k, j) T^(n - k + 2j) is palindromic, and
     its top term is T^(n + k).  So h_k is the coefficient of T^(n + k)
@@ -122,11 +119,8 @@ def _trace_coeffs(cs, F=None) -> list:
         if not c:
             continue
         for j in range((k + 1) // 2, k + 1):     # 2j - k >= 0
-            if F is None:
-                upper[2 * j - k] -= c * math.comb(k, j)
-            else:
-                upper[2 * j - k] = F.sub(upper[2 * j - k],
-                                         F.mul(c, F.from_int(math.comb(k, j))))
+            upper[2 * j - k] = R.sub(upper[2 * j - k],
+                                     R.mul(c, R.from_int(math.comb(k, j))))
     return hc
 
 
@@ -142,16 +136,15 @@ def to_trace_form(f: Poly) -> TraceForm:
         raise NotReciprocalError("trace form requires a monic polynomial")
     if reciprocal_sign(f) != 1:
         raise NotReciprocalError("not reciprocal with sign +1")
-    F = f.field
-    if F is not None and F.p == 2:
+    if f.ring.p == 2:
         raise ValueError("characteristic 2 unsupported")
-    return TraceForm(Poly(_trace_coeffs(f.coeffs, F), F))
+    return TraceForm(Poly(_trace_coeffs(f.coeffs, f.ring), f.field))
 
 
 def trace_lift(h: Poly) -> Poly:
     """f(T) = T^n h(T + 1/T) expanded exactly, term by term with
     T^n (T + 1/T)^k = sum_j C(k, j) T^(n - k + 2j)."""
-    F = h.field
+    R = h.ring
     n = h.degree
     out = [0] * (2 * n + 1)
     for k, c in enumerate(h.coeffs):
@@ -159,11 +152,8 @@ def trace_lift(h: Poly) -> Poly:
             continue
         for j in range(k + 1):
             i = n - k + 2 * j
-            if F is None:
-                out[i] += c * math.comb(k, j)
-            else:
-                out[i] = F.add(out[i], F.mul(c, F.from_int(math.comb(k, j))))
-    return Poly(out, F)
+            out[i] = R.add(out[i], R.mul(c, R.from_int(math.comb(k, j))))
+    return Poly(out, h.field)
 
 
 def disc_identity(f: Poly):
@@ -172,21 +162,15 @@ def disc_identity(f: Poly):
     Returns (lhs, rhs, cross) where lhs = disc(f),
     rhs = h(2) h(-2) disc(h)^2 and cross = (-1)^n f(1) f(-1) disc(h)^2.
     """
-    from .poly import discriminant
-
     h = to_trace_form(f).h
-    F = f.field
-    n = h.degree
+    R = f.ring
     lhs = discriminant(f)
-    dh = discriminant(h) if h.degree >= 1 else (1 if F is None else 1)
-    if F is None:
-        rhs = h(2) * h(-2) * dh * dh
-        cross = (-1) ** n * f(1) * f(-1) * dh * dh
-    else:
-        rhs = F.mul(F.mul(h.eval_int(2), h.eval_int(-2)), F.mul(dh, dh))
-        cross = F.mul(F.mul(f.eval_int(1), f.eval_int(-1)), F.mul(dh, dh))
-        if n % 2 == 1:
-            cross = F.neg(cross)
+    dh = discriminant(h) if h.degree >= 1 else 1
+    dh2 = R.mul(dh, dh)
+    rhs = R.mul(R.mul(h.eval_int(2), h.eval_int(-2)), dh2)
+    cross = R.mul(R.mul(f.eval_int(1), f.eval_int(-1)), dh2)
+    if h.degree % 2 == 1:
+        cross = R.neg(cross)
     return lhs, rhs, cross
 
 
@@ -236,18 +220,6 @@ def _pattern_classes(hdeg: tuple, fdeg: tuple) -> frozenset:
     if f_quads == 1 and f_rest_odd:
         out.add(6)
     return frozenset(out)
-
-
-def _partitions(n: int, largest: int, parts: int):
-    """Partitions of n into at most `parts` parts of size <= largest,
-    each as a descending tuple."""
-    if n == 0:
-        yield ()
-        return
-    # the largest part is at least n / parts
-    for k in range(min(n, largest), -(-n // parts) - 1, -1):
-        for rest in _partitions(n - k, k, parts - 1):
-            yield (k,) + rest
 
 
 def _relation_basis(vectors) -> tuple:
@@ -326,7 +298,13 @@ def _part_patterns(d: int, splits: bool):
     of the number of even-degree factors of h_i, bit 1 that of its
     lift.  Each unsplit [2k] is even and each split pair [k, k] adds an
     even count, so bit 1 is the parity of the number of unsplit
-    factors, which is that of the length of the lift pattern."""
+    factors, which is that of the length of the lift pattern.
+
+    Through Frobenius, h_i mod l is the cycle type of an element of
+    W_{2d} on the d pairs {a, 1/a} and its lift the cycle type on the 2d
+    roots, so the bits are its signatures: bit 0 is set when eps2 = -1,
+    the signature on the pairs, and bit 1 when eps1 = -1, the signature
+    on the 2d symbols (signedperm.invariants)."""
     for ks in _partitions(d, d, 8):
         h_bit = sum(k % 2 == 0 for k in ks) & 1
         if splits:
@@ -381,14 +359,17 @@ def _reachable_classes(n: int, relations: tuple = (),
     Patterns are listed part by part with their parity bits, the
     largest part lazily; pairs with more than eight f-factors are
     skipped, as classify skips those primes.  The classes of the pairs
-    that meet every relation come from classes_from_degrees, and the
-    walk stops once all six are found.
+    that meet every relation come from _pattern_classes, uncached: a walk
+    visits thousands of distinct pairs once each, and would only evict
+    the pairs that classify's per-prime loop reuses.  The walk stops once
+    all six are found.
     """
     parts = parts or ((n, False),)
     if sum(d for d, _ in parts) != n:
         raise ValueError(f"factor degrees {parts} do not add up to {n}")
     if any(r >> 2 * len(parts) for r in relations):
         raise ValueError(f"relations {relations} name a missing part")
+    classes = _pattern_classes.__wrapped__
     order = sorted(range(len(parts)), key=lambda i: -parts[i][0])
     # every combination of the smaller parts, merged once
     rest = [((), (), 0)]
@@ -410,7 +391,8 @@ def _reachable_classes(n: int, relations: tuple = (),
                 ok = fits[mask] = not any((r & mask).bit_count() & 1
                                           for r in relations)
             if ok:
-                out |= classes_from_degrees(ks + hs, fs + ls)
+                out |= classes(tuple(sorted(ks + hs)),
+                               tuple(sorted(fs + ls)))
         if len(out) == 6:
             break
     return frozenset(out)

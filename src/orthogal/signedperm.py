@@ -220,13 +220,15 @@ def _bipartition_count(n: int, cap: int) -> int:
     return b[-1]
 
 
-def _partitions(m: int, smallest: int = 1):
-    """Partitions of m into parts >= smallest, as non-decreasing tuples."""
-    if m == 0:
+def _partitions(n: int, largest: int, parts: int):
+    """Partitions of n into at most `parts` parts of size <= largest,
+    each as a descending tuple."""
+    if n == 0:
         yield ()
         return
-    for k in range(smallest, m + 1):
-        for rest in _partitions(m - k, k):
+    # the largest part is at least n / parts
+    for k in range(min(n, largest), -(-n // parts) - 1, -1):
+        for rest in _partitions(n - k, k, parts - 1):
             yield (k,) + rest
 
 
@@ -269,7 +271,7 @@ def class_statistics(n: int, plus: bool, budget: int = 10 ** 5):
     # types[m]: each partition of m with its cycle types on X as positive
     # and as negative cycles, and its factor of the centralizer order
     types = [[(lam, tuple(sorted(lam + lam)), tuple(2 * k for k in lam),
-               _centralizer_factor(lam)) for lam in _partitions(m)]
+               _centralizer_factor(lam)) for lam in _partitions(m, m, m)]
              for m in range(n + 1)]
     sizes = Counter()
     for m in range(n + 1):

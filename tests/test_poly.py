@@ -52,11 +52,28 @@ def test_divmod_over_field(ring):
 
 
 def test_divmod_over_q_with_fractions():
-    f = Poly([Fraction(1, 2), 0, 1])
-    g = Poly([1, 2])
-    q, r = f.divmod(g)
-    assert q * g + r == f
-    assert r.degree < 1
+    for f, g in ((Poly([Fraction(1, 2), 0, 1]), Poly([1, 2])),
+                 (Poly([3, 1, 4, 1]), Poly([1, 2]))):
+        q, r = f.divmod(g)
+        assert q * g + r == f
+        assert r.degree < 1
+    assert r == Poly([Fraction(27, 8)])
+    # integral quotients come back as ints
+    q, r = Poly([2, 6, 4]).divmod(Poly([1, 2]))
+    assert r.is_zero() and [type(c) for c in q.coeffs] == [int, int]
+
+
+def test_field_coefficients_must_be_integers():
+    F = get_field(7)
+    for bad in (Fraction(1, 2), 2.9):
+        with pytest.raises(TypeError):
+            Poly([bad, 1], F)
+        with pytest.raises(TypeError):
+            Poly.from_int_coeffs([bad, 1], F)
+    # integral values of other types, and out-of-range ints, are codes
+    assert Poly([Fraction(4, 2), 3.0, True, -1, 9], F) \
+        == Poly([2, 3, 1, 6, 2], F)
+    assert Poly([-1, 1], get_field(3, 2)) == Poly([2, 1], get_field(3, 2))
 
 
 @pytest.mark.parametrize("ring", [get_field(3), get_field(5, 2)])

@@ -17,7 +17,9 @@ from orthogal.recpoly import (strip, reciprocal_sign, to_trace_form,
                               classes_from_degrees, in_F_class,
                               count_irreducible_classes,
                               _odd_prime_power, _reachable_classes,
+                              _part_patterns, _pattern_classes,
                               _relation_basis, _square_relations)
+from orthogal.signedperm import enumerate_W, invariants
 
 
 def _flags(f_square, h_square, fh_square, parts=1):
@@ -257,6 +259,36 @@ def test_reachable_classes_follow_the_parities(n):
         or n == 1
     assert (1 in _reachable_classes(n, _flags(False, True, False))) \
         == (n % 2 == 1)
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+def test_parity_bits_are_the_signatures_of_w2d(d):
+    """The patterns of _part_patterns are the cycle types of W_{2d} on
+    the d pairs and on the 2d symbols, and the parity bits are its
+    signatures: bit 0 for eps2 = -1, bit 1 for eps1 = -1."""
+    seen = set()
+    for g in enumerate_W(d):
+        inv = invariants(g)
+        if len(inv.cycle_type_X) <= 8:
+            seen.add((tuple(sorted(inv.cycle_type_pairs)),
+                      tuple(sorted(inv.cycle_type_X)),
+                      (inv.eps2 == -1) | (inv.eps1 == -1) << 1))
+    # each pattern once
+    patterns = [(tuple(sorted(ks)), tuple(sorted(fs)), bits)
+                for ks, fs, bits in _part_patterns(d, False)]
+    assert sorted(patterns) == sorted(seen)
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_reachable_classes_leave_the_pattern_cache_alone(n):
+    """A walk visits thousands of pattern pairs once each; it must not
+    evict the pairs that the per-prime loop of classify reuses."""
+    classes_from_degrees((3, 1), (3, 3, 2))
+    before = _pattern_classes.cache_info()
+    _reachable_classes.__wrapped__(n, (0b10,))
+    after = _pattern_classes.cache_info()
+    assert after.currsize == before.currsize
+    assert after.misses == before.misses
 
 
 def test_in_F_class_consistency():

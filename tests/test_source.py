@@ -9,7 +9,12 @@
 * ``hodge`` computes in integers only: no float constant and no true
   division, so the mod-4 signature congruence is checked exactly;
 * every module-level import is read in its own module, except in
-  ``__init__.py``, whose imports are the package's re-exports."""
+  ``__init__.py``, whose imports are the package's re-exports;
+* the polynomial arithmetic of ``poly`` and ``recpoly`` does not branch
+  on its coefficient field: Q and F_q share one scalar interface
+  (``Poly.ring``), and only the finite-field entry points, the
+  constructor, ``__repr__``, ``__mul__``'s prime-field reduction and
+  ``resultant``'s integer route test for ``field=None``."""
 
 import ast
 from pathlib import Path
@@ -113,3 +118,38 @@ def test_no_unused_imports():
                   for line, name in _imported_names(tree)
                   if name not in loaded]
     assert not found, f"imports never read in their module: {found}"
+
+
+FIELD_BRANCHES_ALLOWED = {"__init__", "__repr__", "__mul__", "resultant",
+                          "squarefree_decomposition", "factor",
+                          "is_irreducible", "classify_H", "in_F_class"}
+
+
+def _is_field_tag(node) -> bool:
+    """F, field or X.field."""
+    return ((isinstance(node, ast.Name) and node.id in ("F", "field"))
+            or (isinstance(node, ast.Attribute) and node.attr == "field"))
+
+
+def _field_branches(node, function=None):
+    """(line, enclosing function) of each `X is None` or `X is not None`
+    with X a field tag, under node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    if (isinstance(node, ast.Compare) and _is_field_tag(node.left)
+            and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+            and any(isinstance(c, ast.Constant) and c.value is None
+                    for c in node.comparators)):
+        yield node.lineno, function
+    for child in ast.iter_child_nodes(node):
+        yield from _field_branches(child, function)
+
+
+def test_poly_arithmetic_does_not_branch_on_the_field():
+    found = []
+    for name in ("poly.py", "recpoly.py"):
+        tree = ast.parse((SOURCE_DIR / name).read_text())
+        found += [f"{name}:{line} in {function}"
+                  for line, function in _field_branches(tree)
+                  if function not in FIELD_BRANCHES_ALLOWED]
+    assert not found, f"field=None branches in the arithmetic: {found}"
