@@ -105,10 +105,10 @@ def _is_prime(n: int) -> bool:
 # -- the F_p list-polynomial kernel ------------------------------------------
 #
 # Polynomials over a prime field F_p as int lists in ascending order.
-# This is the package's one mod-p list-polynomial kernel: Fq.mul and
-# the modular resultant run on it (the batched factor-degree kernel in
-# galclass works on int64 matrices instead).  Inputs may be unreduced
-# ints; outputs are reduced mod p.
+# This is the package's one mod-p list-polynomial kernel: Fq._poly_mul
+# and the Hensel lifting of poly run on it (the batched factor-degree
+# kernel in galclass works on int64 matrices instead).  Inputs may be
+# unreduced ints; outputs are reduced mod p.
 
 
 def _poly_mul_mod_p(a, b, p):

@@ -5,9 +5,12 @@ A Poly is a coefficient tuple in ascending order plus a ring tag:
 field=None means rational coefficients (ints and Fractions), field=Fq
 means the coefficients are ints encoding elements of that finite field
 (see ffield).  Both rings share one scalar interface, Fq's (from_int,
-add, sub, neg, mul, inv, div), with QQ the rationals; Poly reads it from
-its ring property, so every algorithm is written once.  All arithmetic
-is exact; there is no floating point.
+add, sub, neg, mul, inv, div, pow), with QQ the rationals; Poly reads it
+from its ring property, so every algorithm is written once.  All
+arithmetic is exact; there is no floating point.  The resultant, and so
+the discriminant, is one subresultant PRS for every ring:
+pseudo-remainders and exact divisions, with integer values throughout
+over Z.
 
 Factorization over F_q is the classical three-stage pipeline:
 squarefree decomposition, distinct-degree splitting, then a randomized
@@ -24,9 +27,10 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd as int_gcd, isqrt, prod
+from numbers import Integral
 
-from .ffield import (Fq, get_field, _is_prime, _poly_mul_mod_p,
-                     _poly_rem_mod_p, _prime_factors)
+from .ffield import (Fq, get_field, _poly_mul_mod_p, _poly_rem_mod_p,
+                     _prime_factors)
 
 
 def _integral(c):
@@ -39,7 +43,7 @@ class _Rationals:
     integral product or quotient comes back as an int."""
 
     p, e = 0, 1                  # characteristic 0, a prime field
-    add, sub, neg = operator.add, operator.sub, operator.neg
+    add, sub, neg, pow = operator.add, operator.sub, operator.neg, operator.pow
 
     def __repr__(self):
         return "QQ"
@@ -96,9 +100,11 @@ class Poly:
 
     @staticmethod
     def from_int_coeffs(coeffs, field: Fq | None = None) -> "Poly":
-        """Reduce integer coefficients into the target ring."""
+        """Reduce integer coefficients into the target ring.  Every
+        integral scalar (a NumPy integer too) is read as an integer."""
         R = field or QQ
-        return Poly([R.from_int(c) if isinstance(c, int) else c for c in coeffs], field)
+        return Poly([R.from_int(int(c)) if isinstance(c, Integral) else c
+                     for c in coeffs], field)
 
     @staticmethod
     def x(field=None) -> "Poly":
@@ -299,139 +305,46 @@ class Poly:
 # ---------------------------------------------------------------------------
 
 
-def _resultant_field(f: Poly, g: Poly):
-    """Resultant over a finite field via the Euclidean scheme."""
-    F = f.field
-    if f.degree < 0 or g.degree < 0:
-        return 0
-    res = 1
-    a, b = f, g
-    while True:
-        da, db = a.degree, b.degree
-        if db == 0:
-            return F.mul(res, F.pow(b.coeffs[0], da))
-        r = a % b
-        dr = r.degree
-        if r.is_zero():
-            return 0
-        # res(a, b) = (-1)^(da*db) lc(b)^(da-dr) res(b, r)
-        sign_flip = (da * db) % 2 == 1
-        res = F.mul(res, F.pow(b.lc, da - dr))
-        if sign_flip:
-            res = F.neg(res)
-        a, b = b, r
-
-
-_RES_PRIMES: list[int] = []
-
-
-def _res_primes(count):
-    global _RES_PRIMES
-    cand = _RES_PRIMES[-1] + 2 if _RES_PRIMES else (1 << 30) + 3
-    while len(_RES_PRIMES) < count:
-        while not _is_prime(cand):
-            cand += 2
-        _RES_PRIMES.append(cand)
-        cand += 2
-    return _RES_PRIMES[:count]
-
-
-def _resultant_mod(fc, gc, p):
-    """Resultant of integer coefficient lists mod p (Euclidean)."""
-    a = [c % p for c in fc]
-    b = [c % p for c in gc]
-
-    def deg(u):
-        i = len(u) - 1
-        while i >= 0 and not u[i]:
-            i -= 1
-        return i
-
-    da, db = deg(a), deg(b)
-    a, b = a[:da + 1], b[:db + 1]
-    if da < 0 or db < 0:
-        return 0
-    res = 1
-    while True:
-        if db == 0:
-            return (res * pow(b[0], da, p)) % p
-        # a mod b equals a mod the monic b / lc(b)
-        inv = pow(b[db], -1, p)
-        r = _poly_rem_mod_p(a, [(c * inv) % p for c in b], p)
-        dr = deg(r)
-        if dr < 0:
-            return 0
-        r = r[:dr + 1]
-        if (da * db) % 2 == 1:
-            res = (-res) % p
-        res = (res * pow(b[db], da - dr, p)) % p
-        a, b, da, db = b, r, db, dr
-
-
-def _resultant_int(f: Poly, g: Poly) -> int:
-    """Exact integer resultant via CRT over 30-bit primes."""
-    fc, gc = list(f.coeffs), list(g.coeffs)
-    if not fc or not gc:
-        return 0
-    # Hadamard-style bound: prod of 2-norms
-    nf = isqrt(sum(c * c for c in fc)) + 1
-    ng = isqrt(sum(c * c for c in gc)) + 1
-    bound = 2 * (nf ** len(gc)) * (ng ** len(fc)) + 1
-    need = 1
-    primes = []
-    modulus = 1
-    k = 0
-    while modulus < bound:
-        k += 8
-        primes = _res_primes(k)
-        modulus = prod(primes)
-    residues = []
-    used = []
-    for p in primes:
-        if fc[-1] % p == 0 or gc[-1] % p == 0:
-            continue  # degree would drop; skip this prime
-        residues.append(_resultant_mod(fc, gc, p))
-        used.append(p)
-    modulus = prod(used)
-    if modulus < bound:
-        # pathological: leading coeffs hit every prime; extend
-        extra = _res_primes(k + 16)[k:]
-        for p in extra:
-            if fc[-1] % p == 0 or gc[-1] % p == 0:
-                continue
-            residues.append(_resultant_mod(fc, gc, p))
-            used.append(p)
-            modulus = prod(used)
-            if modulus >= bound:
-                break
-    # CRT
-    x = 0
-    for r, p in zip(residues, used):
-        m = modulus // p
-        x = (x + r * m * pow(m, -1, p)) % modulus
-    if x > modulus // 2:
-        x -= modulus
-    return x
-
-
 def resultant(f: Poly, g: Poly):
-    """Exact resultant of two polynomials over the same ring."""
-    if f.field is not None:
-        return _resultant_field(f, g)
-    if any(isinstance(c, Fraction) for c in f.coeffs + g.coeffs):
-        # clear denominators: res(af, bg) = a^deg g b^deg f res(f, g)
-        df, dg = f.degree, g.degree
-        cf = 1
-        for c in f.coeffs:
-            cf = cf * Fraction(c).denominator // int_gcd(cf, Fraction(c).denominator)
-        cg = 1
-        for c in g.coeffs:
-            cg = cg * Fraction(c).denominator // int_gcd(cg, Fraction(c).denominator)
-        fi = Poly([int(Fraction(c) * cf) for c in f.coeffs])
-        gi = Poly([int(Fraction(c) * cg) for c in g.coeffs])
-        r = _resultant_int(fi, gi)
-        return Fraction(r, cf ** dg * cg ** df)
-    return _resultant_int(f, g)
+    """Exact resultant of two polynomials over the same ring, by the
+    subresultant PRS (Collins, J. ACM 14, 1967; Brown and Traub, J. ACM
+    18, 1971; Cohen, A Course in Computational Algebraic Number Theory,
+    Algorithm 3.3.7).  Each step takes the pseudo-remainder
+    lc(b)^(delta+1) a mod b, which needs no inverse, and divides it
+    exactly by lead h^delta, so over Z every value is an integer.
+    res = 0 when f or g is zero, and res(c, g) = c^deg g."""
+    g = f._same_ring(g)
+    if f.is_zero() or g.is_zero():
+        return 0
+    R, F = f.ring, f.field
+    a, b, sign = f, g, 1
+    if a.degree < b.degree:         # res(f, g) = (-1)^(deg f deg g) res(g, f)
+        a, b = b, a
+        sign = -1 if a.degree & b.degree & 1 else 1
+    if a.degree == 0:
+        return 1            # two constants: the empty Sylvester matrix
+    lead = h = 1
+    while b.degree > 0:
+        da, db = a.degree, b.degree
+        delta = da - db
+        if da & db & 1:
+            sign = -sign
+        r, bc, lb = list(a.coeffs), b.coeffs, b.lc
+        for i in range(da, db - 1, -1):
+            c = r.pop()
+            r = [R.mul(lb, x) for x in r]
+            if c:
+                for j in range(db):
+                    r[i - db + j] = R.sub(r[i - db + j], R.mul(c, bc[j]))
+        d = R.mul(lead, R.pow(h, delta))
+        a, b = b, Poly([R.div(x, d) for x in r], F)
+        if b.is_zero():
+            return 0
+        lead = a.lc
+        if delta:
+            h = R.div(R.pow(lead, delta), R.pow(h, delta - 1))
+    res = R.div(R.pow(b.lc, a.degree), R.pow(h, a.degree - 1))
+    return R.neg(res) if sign < 0 else res
 
 
 def discriminant(f: Poly):

@@ -5,12 +5,13 @@ root-product discriminant checks."""
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from orthogal.ffield import get_field, _poly_mul_mod_p, _poly_rem_mod_p
 from orthogal.poly import (Poly, factor, factor_degrees, is_irreducible,
                            resultant, discriminant, squarefree_decomposition,
-                           poly_from_string, poly_to_string, _resultant_mod)
+                           poly_from_string, poly_to_string)
 
 
 def _rand_poly(rng, field, deg, int_range=6):
@@ -74,6 +75,18 @@ def test_field_coefficients_must_be_integers():
     assert Poly([Fraction(4, 2), 3.0, True, -1, 9], F) \
         == Poly([2, 3, 1, 6, 2], F)
     assert Poly([-1, 1], get_field(3, 2)) == Poly([2, 1], get_field(3, 2))
+
+
+@pytest.mark.parametrize("q,e", [(7, 1), (3, 2)])
+def test_numpy_integers_are_integers(q, e):
+    F = get_field(q, e)
+    want = Poly.from_int_coeffs([5, -4, 1], F)
+    for cs in ([np.int64(5), np.int64(-4), 1], [np.int32(5), np.int32(-4), 1],
+               np.array([5, -4, 1])):
+        got = Poly.from_int_coeffs(cs, F)
+        assert got == want
+        assert all(type(c) is int for c in got.coeffs)
+    assert Poly.from_int_coeffs(np.array([5, -4, 1])) == Poly([5, -4, 1])
 
 
 @pytest.mark.parametrize("ring", [get_field(3), get_field(5, 2)])
@@ -143,32 +156,33 @@ def test_is_irreducible_against_trial_division():
 
 
 def _sylvester_det(f, g):
-    """Resultant as the Sylvester determinant over Q (oracle)."""
+    """Resultant as the Sylvester determinant (oracle), by Gaussian
+    elimination on the scalar ops of f.ring: one routine for Q, F_p and
+    F_{p^e}.  0 when f or g is zero."""
+    if f.is_zero() or g.is_zero():
+        return 0
+    R = f.ring
     m, n = f.degree, g.degree
     size = m + n
-    rows = []
     fc = list(reversed(f.coeffs))
     gc = list(reversed(g.coeffs))
-    for i in range(n):
-        rows.append([Fraction(0)] * i + [Fraction(c) for c in fc]
-                    + [Fraction(0)] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([Fraction(0)] * i + [Fraction(c) for c in gc]
-                    + [Fraction(0)] * (size - n - 1 - i))
-    det = Fraction(1)
+    rows = ([[0] * i + fc + [0] * (size - m - 1 - i) for i in range(n)]
+            + [[0] * i + gc + [0] * (size - n - 1 - i) for i in range(m)])
+    det = 1
     for col in range(size):
         piv = next((r for r in range(col, size) if rows[r][col]), None)
         if piv is None:
-            return Fraction(0)
+            return 0
         if piv != col:
             rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
+            det = R.neg(det)
+        det = R.mul(det, rows[col][col])
+        inv = R.inv(rows[col][col])
         for r in range(col + 1, size):
             if rows[r][col]:
-                c = rows[r][col] * inv
-                rows[r] = [a - c * b for a, b in zip(rows[r], rows[col])]
+                c = R.mul(rows[r][col], inv)
+                rows[r] = [R.sub(a, R.mul(c, b))
+                           for a, b in zip(rows[r], rows[col])]
     return det
 
 
@@ -185,17 +199,57 @@ def test_fp_kernel_matches_poly(ell):
         assert Poly(_poly_mul_mod_p(a, b, ell), F) == pa * pb
         assert Poly(_poly_mul_mod_p(a, c, ell), F) == pa * pc
         assert Poly(_poly_rem_mod_p(a, m, ell), F) == pa % pm
-        assert _resultant_mod(a, b, ell) == resultant(pa, pb)
+        assert resultant(pa, pb) == _sylvester_det(pa, pb)
+
+
+def _rand_coeff(rng, ring, fractions):
+    if ring is not None:
+        return rng.randrange(ring.q)
+    if fractions:
+        return Fraction(rng.randrange(-30, 31), rng.randrange(1, 8))
+    return rng.randrange(-10 ** 4, 10 ** 4)
 
 
 def test_resultant_matches_sylvester_determinant():
-    rng = random.Random(23)
-    for _ in range(25):
-        f = _rand_poly(rng, None, rng.randrange(1, 6), int_range=9)
-        g = _rand_poly(rng, None, rng.randrange(1, 6), int_range=9)
-        if f.degree < 1 or g.degree < 1:
-            continue
-        assert Fraction(resultant(f, g)) == _sylvester_det(f, g)
+    """Over Q, F_7 and F_9: degrees 0-12 both ways round, constants,
+    Fraction inputs over Q and planted common factors (resultant 0)."""
+    rng = random.Random(43)
+    for ring in (None, get_field(7), get_field(3, 2)):
+        for trial in range(120):
+            fractions = ring is None and trial % 3 == 0
+
+            def rand(deg):
+                cs = [_rand_coeff(rng, ring, fractions)
+                      for _ in range(deg + 1)]
+                while not cs[-1]:
+                    cs[-1] = _rand_coeff(rng, ring, fractions)
+                return Poly(cs, ring)
+
+            f, g = rand(rng.randrange(0, 13)), rand(rng.randrange(0, 13))
+            if trial % 4 == 1:
+                common = rand(rng.randrange(1, 4))
+                f, g = f * common, g * common
+            got = resultant(f, g)
+            assert got == _sylvester_det(f, g), (f, g)
+            if trial % 4 == 1:
+                assert got == 0
+            if ring is None and not fractions:
+                assert type(got) is int
+
+
+def test_resultant_refuses_mixed_rings():
+    f, g = Poly([1, 0, 1]), Poly([3, 1], get_field(7))
+    for a, b in ((f, g), (g, f)):
+        with pytest.raises(ValueError, match="mixed coefficient rings"):
+            resultant(a, b)
+
+
+def test_resultant_with_the_zero_polynomial_is_zero():
+    F7, F9 = get_field(7), get_field(3, 2)
+    for f in (Poly([Fraction(1, 2), 1]), Poly([3, 1]), Poly([2, 1], F7),
+              Poly([2, 1], F9)):
+        zero = Poly([], f.field)
+        assert resultant(f, zero) == 0 == resultant(zero, f)
 
 
 def test_resultant_multiplicativity_and_symmetry():
