@@ -126,13 +126,12 @@ def primes_up_to(bound: int):
 #     reduced values, below (l - 1)^2 in absolute value.
 # As l - 1 <= (l - 1)^2 and d >= 2, each is at most d (l - 1)^2, and the
 # kernel is exact when d (l - 1)^2 < 2^63; its callers refuse larger
-# primes (_check_kernel_prime).  The trace-form census of orthfin forms
-# f = H B with n + 1 <= d products per coefficient, within the same bound.
+# primes (_check_kernel_prime).
 
 
 # Most rows the kernel takes in one call where the caller chooses the
-# block (classify's prime blocks, the trace-form censuses of orthfin), so
-# its (levels x rows x degree) arrays stay small.
+# block (classify's prime blocks, the validator's), so its
+# (levels x rows x degree) arrays stay small.
 BLOCK_ROWS = 2048
 
 

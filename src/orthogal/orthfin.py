@@ -14,13 +14,14 @@ h_i(-2) as square classes.  The signs follow from degrees alone: the
 lift of h_i splits as [d_i, d_i] when e_i = +1 and stays irreducible of
 degree 2 d_i otherwise, so the factor degrees of h and of f fix how
 many factors of each degree have e_i = +1 (_sign_pairs).  The
-densities sum over a census of every monic h of degree n over F_q,
-grouped by what the proportions read (classes, number of factors of f,
-the (d_i, e_i) and the square classes of f(1), f(-1)).  It is built
-once per (F, n) and kept in a bounded cache: over a prime field as
-int64 rows, in blocks of at most galclass.BLOCK_ROWS, through the
-batched gcd and factor-degree kernels of galclass; over F_{p^e} by
-scalar factoring of each h.
+densities sum over a census of every h in P_n over F_q, grouped by what
+the proportions read (classes, number of factors of f, the (d_i, e_i)
+and the square classes of f(1), f(-1)).  All of these follow from the
+multiset of (d_i, class h_i(2), class h_i(-2)), so the census factors
+no h: it counts the multisets from the closed-form numbers of monic
+irreducibles of each degree in each pair of boundary square classes
+(recpoly._irreducible_counts), over F_p and F_{p^e} alike.  It is built
+once per (F, n) and kept in a bounded cache.
 
 Spinor norms follow Zassenhaus (On the spinor norm, Arch. Math. 13,
 1962), normalised so that a reflection r_v has spin(r_v) = class(<v,v>).
@@ -58,11 +59,9 @@ import numpy as np
 
 from .errors import BudgetExceededError, NotSeparableError
 from .ffield import Fq, SquareClass, SQUARE, NONSQUARE, ZERO_CLASS
-from .galclass import (BLOCK_ROWS, _batch_gcd_degrees, _check_kernel_prime,
-                       _lift_degree_rows, _vec_powmod)
 from .poly import Poly, factor_degrees
-from .recpoly import (to_trace_form, trace_lift, reciprocal_sign, in_P_n,
-                      classes_from_degrees)
+from .recpoly import (to_trace_form, reciprocal_sign, classes_from_degrees,
+                      _irreducible_counts)
 
 
 class OrthSpace:
@@ -727,90 +726,42 @@ def _build_census(F: Fq, n: int) -> tuple:
     """((classes, #factors of f, (deg, e) pairs, class f(1), class
     f(-1)), count) over every h in P_n, f = T^n h(T + 1/T).
 
-    The q^n monic h are int64 rows (ascending coefficients, code c has
-    coefficients the base-q digits of c), at most BLOCK_ROWS at a time.
+    h in P_n is a product of distinct monic irreducible h_i with
+    h_i(+-2) != 0, and each h_i has a type (d, s, t): its degree and the
+    characters of h_i(2), h_i(-2), of which there are I_d(s, t)
+    (recpoly._irreducible_counts).  So the h with k_j factors of each
+    type j number prod_j C(I_j, k_j), and the walk over these multisets
+    of types reads the key from the types: e_i = s t, the lift of h_i is
+    [d, d] when e_i = +1 and [2 d] otherwise, f(1) = h(2) and
+    f(-1) = (-1)^n h(-2).
     """
     q = F.q
-    total = q ** n
-    rows = Counter()
-    for start in range(0, total, BLOCK_ROWS):
-        codes = np.arange(start, min(start + BLOCK_ROWS, total),
-                          dtype=np.int64)
-        H = np.ones((len(codes), n + 1), dtype=np.int64)
-        for k in range(n):
-            H[:, k] = codes // q ** k % q
-        block = (_prime_census_rows(H, q) if F.e == 1
-                 else _scalar_census_rows(F, H))
-        rows.update(row for row in block if row is not None)
+    chi_minus1 = 1 if q % 4 == 1 else -1
+    types = [(d, s, t, c) for d in range(1, n + 1)
+             for (s, t), c in _irreducible_counts(q, d).items() if c]
     census = Counter()
-    for (hdeg, fdeg, f1, fm1), count in rows.items():
-        census[(classes_from_degrees(hdeg, fdeg), len(fdeg),
-                _sign_pairs(hdeg, fdeg), f1, fm1)] += count
+
+    def walk(j, left, chosen, count):
+        if not left:
+            pairs = tuple(sorted((d, s * t) for d, s, t in chosen))
+            hdeg = [d for d, _ in pairs]
+            fdeg = [k for d, e in pairs
+                    for k in ((d, d) if e == 1 else (2 * d,))]
+            f1 = prod(s for _, s, _ in chosen)
+            fm1 = chi_minus1 ** n * prod(t for _, _, t in chosen)
+            census[(classes_from_degrees(hdeg, fdeg), len(fdeg), pairs,
+                    SQUARE if f1 == 1 else NONSQUARE,
+                    SQUARE if fm1 == 1 else NONSQUARE)] += count
+            return
+        if j == len(types) or types[j][0] > left:
+            return
+        d, s, t, c = types[j]
+        for k in range(min(left // d, c) + 1):
+            walk(j + 1, left - k * d, chosen + [(d, s, t)] * k,
+                 count * comb(c, k))
+
+    walk(0, n, [], 1)
     return tuple(census.items())
-
-
-def _prime_census_rows(H: np.ndarray, p: int) -> list:
-    """Per row h of H over F_p: None when h is not in P_n, else (degrees
-    of h, degrees of f, class of f(1), class of f(-1)).
-
-    Squarefree means gcd(h, h') = 1, by the divstep gcd kernel
-    (galclass._batch_gcd_degrees, monic h against h'); f(1) = h(2)
-    and f(-1) = (-1)^n h(-2) come by Horner's rule, their square
-    classes by Euler's criterion, and f = H B mod p for the binomial
-    matrix B of T^(n-k) (T^2 + 1)^k.  f goes through the one-pass row
-    kernel, which factors h along with it.
-    """
-    n = H.shape[1] - 1
-    _check_kernel_prime(2 * n, p)
-    m = np.full(len(H), p, dtype=np.int64)
-    h2, hm2 = _horner(H, 2, p), _horner(H, -2 % p, p)
-    good = ((_batch_gcd_degrees(H, H[:, 1:] * np.arange(1, n + 1) % p, m) == 0)
-            & (h2 != 0) & (hm2 != 0))
-    H, m = H[good], m[good]
-    rows = ((hdeg, fdeg, f1, fm1) for (fdeg, hdeg), f1, fm1 in zip(
-        _lift_degree_rows(H @ _lift_matrix(n, p) % p, m),
-        _euler_classes(h2[good], p),
-        _euler_classes((-1) ** n * hm2[good] % p, p)))
-    return [next(rows) if g else None for g in good.tolist()]
-
-
-def _euler_classes(x: np.ndarray, p: int) -> list:
-    """Square class of each non-zero x mod p, by Euler's criterion."""
-    r = _vec_powmod(x, np.full(len(x), (p - 1) // 2, dtype=np.int64), p)
-    return [SQUARE if v == 1 else NONSQUARE for v in r.tolist()]
-
-
-def _horner(H: np.ndarray, x: int, p: int) -> np.ndarray:
-    """Each row polynomial of H evaluated at x, mod p."""
-    val = np.zeros(len(H), dtype=np.int64)
-    for k in range(H.shape[1] - 1, -1, -1):
-        val = (val * x + H[:, k]) % p
-    return val
-
-
-def _lift_matrix(n: int, p: int) -> np.ndarray:
-    """(n+1, 2n+1) matrix mod p whose row k is T^(n-k) (T^2 + 1)^k, so
-    that f = T^n h(T + 1/T) is h's coefficient row times it."""
-    B = np.zeros((n + 1, 2 * n + 1), dtype=np.int64)
-    for k in range(n + 1):
-        for j in range(k + 1):
-            B[k, n - k + 2 * j] = comb(k, j) % p
-    return B
-
-
-def _scalar_census_rows(F: Fq, H: np.ndarray) -> list:
-    """_prime_census_rows over any F_q, by Poly arithmetic row by row."""
-    out: list = []
-    for row in H.tolist():
-        h = Poly(row, F)
-        if not in_P_n(h):
-            out.append(None)
-            continue
-        f = trace_lift(h)
-        out.append((tuple(factor_degrees(h)), tuple(factor_degrees(f)),
-                    F.square_class(f.eval_int(1)),
-                    F.square_class(f.eval_int(-1))))
-    return out
 
 
 def c_i_density(V: OrthSpace, kappa: CosetLabel, i: int,
@@ -826,12 +777,12 @@ def c_i_density(V: OrthSpace, kappa: CosetLabel, i: int,
 
     The sum runs over the census of the trace forms h of degree n over
     F_q (_census): every h in P_n grouped by its classes, the number of
-    factors of f, the (deg, e) pairs of its factors (the signs follow
-    from the degrees, see _sign_pairs) and the square classes of f(1)
-    and f(-1), which is all class_proportion reads.  Over a prime field
-    the census is built by the batched row kernel, over F_{p^e} by
-    scalar factoring.  It is memoised per (F, n) in a bounded cache, and
-    the budget on q^n is checked before it is built.
+    factors of f, the (deg, e) pairs of its factors and the square
+    classes of f(1) and f(-1), which is all class_proportion reads.  The
+    census counts these groups from the numbers of irreducibles of each
+    degree and boundary square classes (_build_census); no h is
+    factored.  It is memoised per (F, n) in a bounded cache, and the
+    budget on q^n is checked before it is built.
     """
     N = V.N
     F = V.field

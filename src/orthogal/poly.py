@@ -77,6 +77,9 @@ def _field_code(c, field: Fq) -> int:
     return n if 0 <= n < field.q else field.from_int(n)
 
 
+_RATIONAL_TYPES = frozenset({int, Fraction})
+
+
 class Poly:
     __slots__ = ("coeffs", "field")
 
@@ -85,7 +88,11 @@ class Poly:
             q = field.q
             coeffs = [c if type(c) is int and 0 <= c < q
                       else _field_code(c, field) for c in coeffs]
-        coeffs = list(coeffs)
+        else:
+            # a fixed-width integer (NumPy's) would wrap in the arithmetic
+            coeffs = [c if type(c) in _RATIONAL_TYPES
+                      else int(c) if isinstance(c, Integral) else c
+                      for c in coeffs]
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
@@ -103,7 +110,7 @@ class Poly:
         """Reduce integer coefficients into the target ring.  Every
         integral scalar (a NumPy integer too) is read as an integer."""
         R = field or QQ
-        return Poly([R.from_int(int(c)) if isinstance(c, Integral) else c
+        return Poly([R.from_int(c) if isinstance(c, Integral) else c
                      for c in coeffs], field)
 
     @staticmethod

@@ -28,10 +28,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BudgetExceededError, NotReciprocalError
-from .ffield import get_field, SquareClass, _is_prime, _prime_factors
+from .ffield import SquareClass, _is_prime, _prime_factors
 from .poly import Poly, QQ, discriminant, factor_degrees
 from .signedperm import _partitions
 
@@ -449,7 +447,6 @@ class IrreducibleCountTable:
     m: int
     counts: dict                 # (alpha.tag, beta.tag) -> exact count
     deviations: dict             # same keys -> |4m*count - q^m|
-    modulus: tuple | None        # extension modulus used, if any
     total: int = 0
 
     def __post_init__(self):
@@ -464,48 +461,67 @@ def _odd_prime_power(q: int) -> tuple[int, int]:
     return factors[0], len(factors)
 
 
+def _irreducible_counts(q: int, m: int) -> dict:
+    """{(s, t): I_m(s, t)} for s, t = +-1: the number of monic
+    irreducible h of degree m over F_q (q odd) with h(+-2) != 0,
+    chi(h(2)) = s and chi(h(-2)) = t.  See count_irreducible_classes."""
+    signs = [(s, t) for s in (1, -1) for t in (1, -1)]
+    total = dict.fromkeys(signs, 0)
+    for d in range(1, m + 1):
+        r = m // d
+        primes = _prime_factors(r)
+        if m % d or len(set(primes)) != len(primes):
+            continue                        # d does not divide m, or mu = 0
+        mu, Q = (-1) ** len(primes), q ** d
+        if r % 2:
+            chi = 1 if Q % 4 == 1 else -1   # chi_Q(-1)
+            for s, t in signs:
+                total[s, t] += mu * (Q - 2 - s - t * chi - s * t) // 4
+        else:
+            total[1, 1] += mu * (Q - 2)
+    counts = {}
+    for key, c in total.items():
+        counts[key], rest = divmod(c, m)
+        if rest:
+            raise ArithmeticError(f"root count {c} is not divisible by m = {m}")
+    return counts
+
+
 def count_irreducible_classes(q: int, m: int, budget: int = 10 ** 6) -> IrreducibleCountTable:
     """Exact bucket counts of monic irreducible degree-m h over F_q with
     h(2) h(-2) != 0, keyed by the square classes of (h(2), h(-2)).
 
-    The enumeration runs over field elements: each irreducible h
-    corresponds to an orbit of m primitive elements z of F_{q^m}, and
-    h(2) = N(2 - z), h(-2) = N(-2 - z) (norms down to F_q).  The norm of
-    an element is a square in F_q exactly when the element is a square
-    in the big field, decided by discrete-log parity.
+    The counts are in closed form (_irreducible_counts), and the budget
+    on q^m bounds the inputs accepted.
+
+    Proof.  Write chi_Q for the quadratic character of F_Q.  For
+    s, t = +-1 let N_Q(s, t) count the z in F_Q with z != +-2,
+    chi_Q(2 - z) = s and chi_Q(-2 - z) = t.  Summing
+    (1 + s chi_Q(2 - z)) (1 + t chi_Q(-2 - z)) / 4 over z != +-2, with
+    sum_z chi_Q(2 - z) = sum_z chi_Q(-2 - z) = 0 and
+    sum_z chi_Q(z^2 - 4) = -1 (a quadratic of non-zero discriminant;
+    Lidl-Niederreiter, Finite Fields, Thm 5.48), gives
+
+        N_Q(s, t) = (Q - 2 - s - t chi_Q(-1) - s t) / 4.
+
+    An irreducible h of degree m is the minimal polynomial of m
+    conjugate z that generate F_{q^m}, and h(+-2) = N(+-2 - z) for the
+    norm N down to F_q, so chi_q(h(+-2)) = chi_{q^m}(+-2 - z).  For w in
+    F_{q^d} with d | m, chi_{q^m}(w) = chi_{q^d}(w)^(m/d).  So the z in
+    F_{q^d} with z != +-2 and the given signs in F_{q^m} number
+    A_d = N_{q^d}(s, t) when m/d is odd; when m/d is even every such z
+    counts at (1, 1), A_d = q^d - 2, and none elsewhere.  Moebius
+    inversion over the subfields leaves the generators:
+
+        m I_m(s, t) = sum_{d | m} mu(m/d) A_d(s, t).
     """
     if q ** m > budget:
         raise BudgetExceededError(f"q^m = {q ** m} exceeds budget {budget}")
-    p, e = _odd_prime_power(q)
-    B = get_field(p, e * m)
-    Q = B.q
-    all_codes = np.arange(Q, dtype=np.int64)
-    logs = B.vlog(all_codes)
-    # z generates F_{q^m} over F_q iff z lies in no proper subfield
-    # F_{q^d}; the nonzero part of F_{q^d} is the subgroup of index
-    # (Q-1)/(q^d-1), and z = 0 generates only at m = 1
-    full = (all_codes != 0) | (m == 1)
-    for r in set(_prime_factors(m)):
-        d = m // r
-        idx = (Q - 1) // (q ** d - 1)
-        full &= (logs % idx) != 0
-    # boundary values 2 - z and -2 - z
-    minus_z = B.vmul(B.from_int(-1), all_codes)
-    u = B.vadd(B.from_int(2), minus_z)
-    v = B.vadd(B.from_int(-2), minus_z)
-    ok = full & (u != 0) & (v != 0)
-    usq = (B.vlog(u[ok]) % 2) == 0
-    vsq = (B.vlog(v[ok]) % 2) == 0
-    raw = {
-        ("Square", "Square"): int(np.count_nonzero(usq & vsq)),
-        ("Square", "NonSquare"): int(np.count_nonzero(usq & ~vsq)),
-        ("NonSquare", "Square"): int(np.count_nonzero(~usq & vsq)),
-        ("NonSquare", "NonSquare"): int(np.count_nonzero(~usq & ~vsq)),
-    }
-    counts = {}
-    for k, c in raw.items():
-        if c % m:
-            raise ArithmeticError(f"orbit count {c} is not divisible by m = {m}")
-        counts[k] = c // m
+    _odd_prime_power(q)
+    if m < 1:
+        raise ValueError("extension degree must be >= 1")
+    tag = {1: "Square", -1: "NonSquare"}
+    counts = {(tag[s], tag[t]): c
+              for (s, t), c in _irreducible_counts(q, m).items()}
     devs = {k: abs(4 * m * c - q ** m) for k, c in counts.items()}
-    return IrreducibleCountTable(q, m, counts, devs, B.modulus)
+    return IrreducibleCountTable(q, m, counts, devs)

@@ -21,7 +21,7 @@ from orthogal.poly import (Poly, discriminant, factor_degrees,
                            is_irreducible)
 from orthogal.recpoly import (trace_lift, to_trace_form, disc_identity,
                               count_irreducible_classes)
-from orthogal import orthfin
+from orthogal import galclass
 from orthogal.orthfin import (OrthSpace, CosetLabel, enumerate_O,
                               class_proportion)
 from orthogal.signedperm import (invariants, enumerate_W,
@@ -209,18 +209,38 @@ def _dichotomy_holds(F, h, degs=None):
     return list(degs) == [n, n]
 
 
+def _lift_rows(H, p):
+    """The lifts f = T^n h(T + 1/T) of the rows h of H, reduced mod p:
+    h's coefficient row times the matrix whose row k is
+    T^(n-k) (T^2 + 1)^k."""
+    n = H.shape[1] - 1
+    B = np.zeros((n + 1, 2 * n + 1), dtype=np.int64)
+    for k in range(n + 1):
+        for j in range(k + 1):
+            B[k, n - k + 2 * j] = math.comb(k, j) % p
+    return H @ B % p
+
+
 def _irreducible_lifts(F, n):
     """(h, factor degrees of its lift) for every irreducible monic h of
-    degree n over the prime field F.  The degrees of h and of its lift
-    come from orthfin's batched census rows (one kernel pass over every
-    h in P_n); a row outside P_n has a root at +-2 or a repeated factor,
+    degree n over the prime field F.  The h with h(+-2) != 0 and
+    gcd(h, h') = 1 (the divstep kernel) have squarefree lifts, and one
+    pass of the galclass lift kernel over those lifts factors each f
+    with its h.  Every other h has a root at +-2 or a repeated factor,
     so it is reducible unless n = 1, where h = T -+ 2 is factored by
     Poly arithmetic."""
+    p = F.p
     H = np.array([list(h.coeffs) for h in _monic_polys(F, n)],
                  dtype=np.int64)
-    for row, census in zip(H.tolist(), orthfin._prime_census_rows(H, F.p)):
-        if census is not None:
-            hdeg, fdeg = census[:2]
+    m = np.full(len(H), p, dtype=np.int64)
+    powers = np.arange(n + 1)
+    good = ((galclass._batch_gcd_degrees(H, H[:, 1:] * powers[1:] % p, m)
+             == 0)
+            & (H @ 2 ** powers % p != 0) & (H @ (-2) ** powers % p != 0))
+    lifts = iter(galclass._lift_degree_rows(_lift_rows(H[good], p), m[good]))
+    for row, g in zip(H.tolist(), good.tolist()):
+        if g:
+            fdeg, hdeg = next(lifts)
             if hdeg == (n,):
                 yield Poly(row, F), fdeg
         elif n == 1:

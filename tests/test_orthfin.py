@@ -16,10 +16,10 @@ import pytest
 from orthogal.errors import BudgetExceededError, NotReciprocalError, \
     NotSeparableError
 from orthogal.ffield import get_field, SQUARE, NONSQUARE
-from orthogal import galclass, orthfin
+from orthogal import orthfin
 from orthogal.poly import Poly, factor, factor_degrees
 from orthogal.recpoly import (strip, to_trace_form, classify_H, trace_lift,
-                              in_P_n, classes_from_degrees)
+                              in_P_n, classes_from_degrees, _odd_prime_power)
 from orthogal.orthfin import (OrthSpace, OrthElem, CosetLabel, ALL_COSETS,
                               enumerate_O, reflection, spinor_norm,
                               coset_label, identity_elem, class_proportion,
@@ -564,31 +564,31 @@ def test_c_i_density_matches_the_per_h_loop(p, e, Ns):
                         (F.q, N, disc, kappa, i)
 
 
-@pytest.mark.parametrize("p,max_n", [(5, 4), (7, 3)])
-def test_census_rows_match_scalar_factoring(p, max_n):
-    F = get_field(p)
+def _scalar_census(F, rows):
+    """The census of the monic h of the given coefficient rows that lie
+    in P_n, by factoring each h and its lift f one Poly at a time: the
+    oracle for orthfin's closed-form census."""
+    census = Counter()
+    for row in rows:
+        h = Poly(row, F)
+        if not in_P_n(h):
+            continue
+        f = trace_lift(h)
+        hdeg, fdeg = factor_degrees(h), factor_degrees(f)
+        census[(classes_from_degrees(hdeg, fdeg), len(fdeg),
+                orthfin._sign_pairs(hdeg, fdeg),
+                F.square_class(f.eval_int(1)),
+                F.square_class(f.eval_int(-1)))] += 1
+    return census
+
+
+@pytest.mark.parametrize("q,max_n", [(3, 4), (5, 4), (7, 3), (9, 3), (25, 2),
+                                     (27, 2)])
+def test_census_matches_scalar_factoring(q, max_n):
+    F = get_field(*_odd_prime_power(q))
     for n in range(1, max_n + 1):
-        H = np.array(_monic_rows(p, n), dtype=np.int64)
-        batched = orthfin._prime_census_rows(H, p)
-        scalar = orthfin._scalar_census_rows(F, H)
-        assert batched == scalar, (p, n)
-        # h = (T - 2) g is outside P_n, so both leave rows out
-        assert any(row is None for row in batched)
-
-
-@pytest.mark.parametrize("p,n", [(5, 5), (7, 4), (3, 6), (11, 3)])
-def test_census_rows_match_two_kernel_calls(p, n):
-    # the one pass over f gives the degrees of h and f that two row
-    # kernel calls, on h and on f, give
-    H = np.array(_monic_rows(p, n), dtype=np.int64)
-    rows = orthfin._prime_census_rows(H, p)
-    good = np.array([row is not None for row in rows])
-    m = np.full(int(good.sum()), p, dtype=np.int64)
-    F = H[good] @ orthfin._lift_matrix(n, p) % p
-    want = list(zip(galclass._factor_degree_rows(H[good], m),
-                    galclass._factor_degree_rows(F, m)))
-    assert [row[:2] for row in rows if row is not None] == want
-    assert len(want) > p ** (n - 1)
+        census = dict(orthfin._build_census(F, n))
+        assert census == _scalar_census(F, _monic_rows(q, n)), (q, n)
 
 
 def test_c_i_density_matches_the_per_h_loop_at_n5(fresh_census):
@@ -615,29 +615,18 @@ def test_c_i_density_cuts_lifts_with_more_than_eight_factors(monkeypatch):
           for rs in combinations(roots, n)]
     hs += [Poly([rng.randrange(11) for _ in range(n)] + [1], F)
            for _ in range(300)]
-    H = np.array([list(h.coeffs) for h in hs], dtype=np.int64)
-    rows = [row for row in orthfin._prime_census_rows(H, 11) if row]
-    assert sum(len(fdeg) > 8 for _, fdeg, _, _ in rows) >= 5
-    census = Counter()
-    for hdeg, fdeg, f1, fm1 in rows:
-        census[(classes_from_degrees(hdeg, fdeg), len(fdeg),
-                orthfin._sign_pairs(hdeg, fdeg), f1, fm1)] += 1
+    rows = [list(h.coeffs) for h in hs]
+    census = _scalar_census(F, rows)
+    assert sum(count for key, count in census.items() if key[1] > 8) >= 5
     monkeypatch.setattr(orthfin, "_census",
                         lambda field, k: tuple(census.items()))
-    qualifying = _qualifying(F, H.tolist())
+    qualifying = _qualifying(F, rows)
     for disc in (SQUARE, NONSQUARE):
         V = OrthSpace.canonical(F, N, disc)
         for kappa in ALL_COSETS:
             want = _per_h_densities(V, kappa, qualifying)
             for i in range(1, 7):
                 assert c_i_density(V, kappa, i) == want[i], (disc, kappa, i)
-
-
-def test_census_does_not_depend_on_the_block_size(monkeypatch):
-    fields = [(get_field(5), 3), (get_field(7), 2), (get_field(3, 2), 2)]
-    default = [orthfin._build_census(F, n) for F, n in fields]
-    monkeypatch.setattr(orthfin, "BLOCK_ROWS", 7)
-    assert [orthfin._build_census(F, n) for F, n in fields] == default
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orthogal.ffield import get_field, _poly_mul_mod_p, _poly_rem_mod_p
 from orthogal.poly import (Poly, factor, factor_degrees, is_irreducible,
@@ -87,6 +88,51 @@ def test_numpy_integers_are_integers(q, e):
         assert got == want
         assert all(type(c) is int for c in got.coeffs)
     assert Poly.from_int_coeffs(np.array([5, -4, 1])) == Poly([5, -4, 1])
+
+
+def test_numpy_integers_do_not_wrap_over_q():
+    # 2^62 * 4 = 2^64 does not fit in an int64
+    got = Poly([np.int64(2 ** 62), 1]) * Poly([np.int64(4), 1])
+    assert got == Poly([2 ** 62, 1]) * Poly([4, 1])
+    assert got.coeffs[0] == 2 ** 64
+    assert all(type(c) is int for c in Poly(np.array([3, -2, 1])).coeffs)
+
+
+_INT64_COEFFS = st.lists(st.integers(-2 ** 62, 2 ** 62), min_size=1,
+                         max_size=6)
+_PROPERTIES = settings(max_examples=80, deadline=None, derandomize=True,
+                       database=None)
+
+
+def _int64_poly(cs):
+    return Poly([np.int64(c) for c in cs])
+
+
+@_PROPERTIES
+@given(_INT64_COEFFS, _INT64_COEFFS, _INT64_COEFFS)
+def test_int64_coefficients_give_the_int_arithmetic_over_q(f, g, d):
+    # d + [1] is a monic divisor, so the quotient stays integral
+    for a, b, m in [(Poly(f), Poly(g), Poly(d + [1])),
+                    (_int64_poly(f), _int64_poly(g), _int64_poly(d + [1]))]:
+        assert a + b == Poly([x + y for x, y in zip(f + [0] * len(g),
+                                                     g + [0] * len(f))])
+        assert a * b == Poly(f) * Poly(g)
+        quo, rem = a.divmod(m)
+        assert (quo, rem) == Poly(f).divmod(Poly(d + [1]))
+        assert quo * m + rem == Poly(f) and rem.degree < m.degree
+
+
+@_PROPERTIES
+@given(st.sampled_from([(9973, 1), (3, 2)]), _INT64_COEFFS, _INT64_COEFFS,
+       st.booleans())
+def test_reduction_into_f_q_commutes_with_the_arithmetic(pe, f, g, as_int64):
+    F = get_field(*pe)
+    a, b = ([np.int64(c) for c in cs] if as_int64 else cs for cs in (f, g))
+    total, product = Poly(f) + Poly(g), Poly(f) * Poly(g)
+    assert (Poly.from_int_coeffs(total.coeffs, F)
+            == Poly.from_int_coeffs(a, F) + Poly.from_int_coeffs(b, F))
+    assert (Poly.from_int_coeffs(product.coeffs, F)
+            == Poly.from_int_coeffs(a, F) * Poly.from_int_coeffs(b, F))
 
 
 @pytest.mark.parametrize("ring", [get_field(3), get_field(5, 2)])

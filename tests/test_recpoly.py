@@ -369,7 +369,8 @@ def count_irreducible_classes_direct(q: int, m: int) -> dict:
 
 @pytest.mark.parametrize("q,m", [(3, 1), (5, 1), (7, 1), (9, 1),
                                  (3, 2), (5, 2), (7, 2), (9, 2),
-                                 (3, 3), (5, 3), (3, 4)])
+                                 (3, 3), (5, 3), (3, 4), (3, 6), (7, 4),
+                                 (25, 2), (27, 2)])
 def test_count_irreducible_classes_vs_direct(q, m):
     table = count_irreducible_classes(q, m)
     direct = count_irreducible_classes_direct(q, m)

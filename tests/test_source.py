@@ -10,6 +10,8 @@
   division, so the mod-4 signature congruence is checked exactly;
 * every module-level import is read in its own module, except in
   ``__init__.py``, whose imports are the package's re-exports;
+* ``orthfin`` imports nothing from ``galclass``: its trace-form census
+  is counted in closed form, with no row kernel behind it;
 * the polynomial arithmetic of ``poly`` and ``recpoly`` does not branch
   on its coefficient field: Q and F_q share one scalar interface
   (``Poly.ring``), and only the finite-field entry points, the
@@ -118,6 +120,25 @@ def test_no_unused_imports():
                   for line, name in _imported_names(tree)
                   if name not in loaded]
     assert not found, f"imports never read in their module: {found}"
+
+
+def _imported_modules(node):
+    """The dotted names an import statement reads: each module, and for
+    ``from X import Y`` also X.Y, since Y may be a module."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        base = node.module or ""
+        return [base] + [f"{base}.{alias.name}" for alias in node.names]
+    return []
+
+
+def test_orthfin_does_not_import_galclass():
+    tree = ast.parse((SOURCE_DIR / "orthfin.py").read_text())
+    found = [f"orthfin.py:{node.lineno}" for node in ast.walk(tree)
+             if any("galclass" in name.split(".")
+                    for name in _imported_modules(node))]
+    assert not found, f"galclass imported in orthfin: {found}"
 
 
 FIELD_BRANCHES_ALLOWED = {"__init__", "__repr__", "__mul__",
