@@ -576,31 +576,6 @@ class KField:
         return "Q" if self.is_rational else f"Q(sqrt({self.radicand}))"
 
 
-def _squarefree_part(n: int, trial_bound: int = 10 ** 6):
-    """(squarefree part, fully_factored) by trial division."""
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    out = 1
-    d = 2
-    while d <= trial_bound and d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            if e % 2:
-                out *= d
-        d += 1
-    if n > 1:
-        if math.isqrt(n) ** 2 == n:
-            return sign * out, True
-        if n <= trial_bound * trial_bound:
-            # remaining cofactor is prime
-            return sign * out * n, True
-        return sign * out * n, False
-    return sign * out, True
-
-
 def compute_K(P: Poly) -> KField:
     """K = Q(sqrt((-1)^(N/2) P(1) P(-1))) for even-degree P over Q.
 

@@ -41,14 +41,13 @@ import functools
 import random
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 import numpy as np
 
 from .errors import BudgetExceededError, NotSeparableError
 from .ffield import Fq, get_field, conway_like_modulus
-from .galclass import (KField, classify, group_constraint, _batch_gcd_degrees,
-                       _squarefree_part)
+from .galclass import KField, classify, group_constraint, _batch_gcd_degrees
 from .poly import Poly, discriminant, factor, _pow_mod
 from .signedperm import WGroup
 
@@ -840,6 +839,37 @@ def twist_target_group(N_d: int, epsilon: int, D_d: int) -> WGroup:
     """The predicted Galois group of one twist's P_u."""
     K = KField.from_radicand((-1) ** (N_d // 2) * D_d)
     return group_constraint(N_d, epsilon, k_rational=K.is_rational)
+
+
+#: The largest trial divisor of _squarefree_part: a cofactor left at
+#: most its square is prime.
+_TRIAL_BOUND = 10 ** 6
+
+
+def _squarefree_part(n: int):
+    """(squarefree part, fully_factored) by trial division up to
+    _TRIAL_BOUND."""
+    sign = -1 if n < 0 else 1
+    n = abs(n)
+    out = 1
+    d = 2
+    while d <= _TRIAL_BOUND and d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            if e % 2:
+                out *= d
+        d += 1
+    if n > 1:
+        if isqrt(n) ** 2 == n:
+            return sign * out, True
+        if n <= _TRIAL_BOUND * _TRIAL_BOUND:
+            # remaining cofactor is prime
+            return sign * out * n, True
+        return sign * out * n, False
+    return sign * out, True
 
 
 def survey_delta(E: FqTCurve, d: int, n: int = 1, sample: int | None = None,

@@ -8,20 +8,19 @@ spaces, exact conjugacy-class proportions for prescribed characteristic
 polynomials, and the per-coset class densities that drive the sieve
 experiments.
 
-A class proportion needs, of the trace form h of f, only the degrees d_i
-of its irreducible factors h_i and the signs e_i = +-1 of h_i(2)
-h_i(-2) as square classes.  The signs follow from degrees alone: the
-lift of h_i splits as [d_i, d_i] when e_i = +1 and stays irreducible of
-degree 2 d_i otherwise, so the factor degrees of h and of f fix how
-many factors of each degree have e_i = +1 (_sign_pairs).  The
-densities sum over a census of every h in P_n over F_q, grouped by what
-the proportions read (classes, number of factors of f, the (d_i, e_i)
-and the square classes of f(1), f(-1)).  All of these follow from the
-multiset of (d_i, class h_i(2), class h_i(-2)), so the census factors
-no h: it counts the multisets from the closed-form numbers of monic
-irreducibles of each degree in each pair of boundary square classes
-(recpoly._irreducible_counts), over F_p and F_{p^e} alike.  It is built
-once per (F, n) and kept in a bounded cache.
+A class proportion needs, of the trace form h of f, only the types
+(d_i, class h_i(2), class h_i(-2)) of its irreducible factors h_i: the
+degrees d_i, the signs e_i = +-1 of h_i(2) h_i(-2) as square classes
+and the square classes of f(1), f(-1) follow from them, and so does the
+lift of h_i, [d_i, d_i] when e_i = +1 and [2 d_i] otherwise
+(recpoly._type_key).  class_proportion factors h and reads its types;
+f is never factored.  The densities sum over a census of every h in P_n
+over F_q, grouped by that key (classes, number of factors of f, the
+(d_i, e_i) and the square classes of f(1), f(-1)).  The census factors
+no h: it counts the multisets of types from the closed-form numbers of
+monic irreducibles of each degree in each pair of boundary square
+classes (recpoly._irreducible_counts), over F_p and F_{p^e} alike.  It
+is built once per (F, n) and kept in a bounded cache.
 
 Spinor norms follow Zassenhaus (On the spinor norm, Arch. Math. 13,
 1962), normalised so that a reflection r_v has spin(r_v) = class(<v,v>).
@@ -59,9 +58,9 @@ import numpy as np
 
 from .errors import BudgetExceededError, NotSeparableError
 from .ffield import Fq, SquareClass, SQUARE, NONSQUARE, ZERO_CLASS
-from .poly import Poly, factor_degrees
-from .recpoly import (to_trace_form, reciprocal_sign, classes_from_degrees,
-                      _irreducible_counts)
+from .poly import Poly
+from .recpoly import (to_trace_form, reciprocal_sign, _factor_types,
+                      _type_key, _irreducible_counts)
 
 
 class OrthSpace:
@@ -599,37 +598,6 @@ def _in_sorted(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _sign_pairs(hdeg, fdeg) -> tuple:
-    """Sorted (deg h_i, e_i) over the irreducible factors h_i of a trace
-    form h in P_n, from the factor degrees of h and of its lift f alone.
-
-    e_i = +1 iff h_i(2) h_i(-2) is a square.  That product is the norm
-    of b^2 - 4 for a root b of h_i, so e_i = +1 exactly when the roots a
-    of a^2 - b a + 1 lie in F_q(b): the lift of h_i then splits as
-    [d, d], and otherwise stays irreducible of degree 2d.  With a_k, b_k
-    the numbers of degree-k factors of h and of f, the number s_k of
-    e = +1 factors of degree k solves b_k = 2 s_k + a_{k/2} - s_{k/2},
-    in increasing k.  Raises ArithmeticError when the degrees admit no
-    such solution (h not in P_n, or f not its lift).
-    """
-    a, b = Counter(hdeg), Counter(fdeg)
-    s: dict = {}
-    pairs = []
-    for k in sorted(a):
-        unsplit = a[k // 2] - s.get(k // 2, 0) if k % 2 == 0 else 0
-        s[k], odd = divmod(b[k] - unsplit, 2)
-        if odd or not 0 <= s[k] <= a[k]:
-            break
-        pairs += [(k, -1)] * (a[k] - s[k]) + [(k, 1)] * s[k]
-    else:
-        lifted = Counter()
-        for k, e in pairs:
-            lifted.update([k, k] if e == 1 else [2 * k])
-        if lifted == b:
-            return tuple(pairs)
-    raise ArithmeticError(f"factor degrees {hdeg} of h do not lift to {fdeg}")
-
-
 def _base_product(q: int, pairs) -> Fraction:
     """q^(-n) prod (1 - e_i / q^(d_i))^(-1), exactly."""
     n = sum(d for d, _ in pairs)
@@ -657,58 +625,52 @@ def _check_f(f: Poly):
         raise ValueError("f(1) and f(-1) must be nonzero")
 
 
-def class_proportion(V: OrthSpace, f: Poly, case: str,
+def class_proportion(V: OrthSpace, f: Poly,
                      beta: SquareClass | None = None,
                      eps: int | None = None) -> ClassData:
     """Exact |C| / |O(V)| for the conjugacy class with the prescribed
     characteristic polynomial, together with the forced (det, spin).
 
-    case "even":  N = 2n, char poly f; zero proportion when
-                  disc(V) != class(f(1) f(-1)).
-    case "even2": N = 2n+2, char poly (1-T^2) f, spinor class beta
-                  (beta=None sums over both choices).
-    case "odd":   N = 2n+1, char poly (1 - eps T) f.
+    The case is read from N = dim V against deg f = 2n:
+    N = 2n:   char poly f; zero proportion when
+              disc(V) != class(f(1) f(-1)).
+    N = 2n+2: char poly (1-T^2) f, spinor class beta
+              (beta=None sums over both choices).
+    N = 2n+1: char poly (1 - eps T) f.
 
-    The signs e_i of the factors of the trace form come from the factor
-    degrees of h and f (_sign_pairs).
+    The signs e_i of the factors of the trace form come from its factor
+    types (recpoly._type_key).
     """
     F = V.field
     if f.field != F:
         raise ValueError("field mismatch")
     _check_f(f)
     h = to_trace_form(f).h
-    return _class_data(V, f.degree // 2,
-                       _sign_pairs(factor_degrees(h), factor_degrees(f)),
-                       F.square_class(f.eval_int(1)),
-                       F.square_class(f.eval_int(-1)), case, beta, eps)
+    _, _, pairs, f1, fm1 = _type_key(_factor_types(h), h.degree, F)
+    return _class_data(V, pairs, f1, fm1, beta, eps)
 
 
-def _class_data(V: OrthSpace, n: int, pairs, f1: SquareClass,
-                fm1: SquareClass, case: str, beta: SquareClass | None,
-                eps: int | None) -> ClassData:
+def _class_data(V: OrthSpace, pairs, f1: SquareClass, fm1: SquareClass,
+                beta: SquareClass | None, eps: int | None) -> ClassData:
     """class_proportion from the (deg, e) pairs of the trace form and the
     square classes f1, fm1 of f(1), f(-1)."""
     base = _base_product(V.q, pairs)
-    if case == "even":
-        if V.N != 2 * n:
-            raise ValueError("dimension mismatch")
+    extra = V.N - 2 * sum(d for d, _ in pairs)
+    if extra == 0:
         if V.disc() != f1 * fm1:
             return ClassData(Fraction(0), 1, fm1)
         return ClassData(base, 1, fm1)
-    if case == "even2":
-        if V.N != 2 * n + 2:
-            raise ValueError("dimension mismatch")
+    if extra == 2:
         if beta is None:
             return ClassData(base / 2, -1, None)
         return ClassData(base / 4, -1, beta)
-    if case == "odd":
-        if V.N != 2 * n + 1:
-            raise ValueError("dimension mismatch")
+    if extra == 1:
         if eps not in (1, -1):
             raise ValueError("eps must be +-1")
         spin = fm1 if eps == 1 else f1 * V.disc()
         return ClassData(base / 2, eps, spin)
-    raise ValueError(f"unknown case {case!r}")
+    raise ValueError(f"dimension mismatch: dim V - deg f = {extra} "
+                     f"is not 0, 1 or 2")
 
 
 # ---------------------------------------------------------------------------
@@ -731,27 +693,16 @@ def _build_census(F: Fq, n: int) -> tuple:
     characters of h_i(2), h_i(-2), of which there are I_d(s, t)
     (recpoly._irreducible_counts).  So the h with k_j factors of each
     type j number prod_j C(I_j, k_j), and the walk over these multisets
-    of types reads the key from the types: e_i = s t, the lift of h_i is
-    [d, d] when e_i = +1 and [2 d] otherwise, f(1) = h(2) and
-    f(-1) = (-1)^n h(-2).
+    of types reads each key from the types by recpoly._type_key, as
+    class_proportion does from the factor types of one h.
     """
-    q = F.q
-    chi_minus1 = 1 if q % 4 == 1 else -1
     types = [(d, s, t, c) for d in range(1, n + 1)
-             for (s, t), c in _irreducible_counts(q, d).items() if c]
+             for (s, t), c in _irreducible_counts(F.q, d).items() if c]
     census = Counter()
 
     def walk(j, left, chosen, count):
         if not left:
-            pairs = tuple(sorted((d, s * t) for d, s, t in chosen))
-            hdeg = [d for d, _ in pairs]
-            fdeg = [k for d, e in pairs
-                    for k in ((d, d) if e == 1 else (2 * d,))]
-            f1 = prod(s for _, s, _ in chosen)
-            fm1 = chi_minus1 ** n * prod(t for _, _, t in chosen)
-            census[(classes_from_degrees(hdeg, fdeg), len(fdeg), pairs,
-                    SQUARE if f1 == 1 else NONSQUARE,
-                    SQUARE if fm1 == 1 else NONSQUARE)] += count
+            census[_type_key(chosen, n, F)] += count
             return
         if j == len(types) or types[j][0] > left:
             return
@@ -794,12 +745,7 @@ def c_i_density(V: OrthSpace, kappa: CosetLabel, i: int,
     eps, delta = kappa.det, kappa.spin
     if N % 2 == 0 and eps == 1 and i == 6:
         return Fraction(1)
-    if N % 2 == 1:
-        n, case = (N - 1) // 2, "odd"
-    elif eps == -1:
-        n, case = (N - 2) // 2, "even2"
-    else:
-        n, case = N // 2, "even"
+    n = (N - 1) // 2 if N % 2 else (N - 2) // 2 if eps == -1 else N // 2
     if q ** n > budget:
         raise BudgetExceededError(f"{q}^{n} trace forms exceed budget")
     total = Fraction(0)
@@ -807,7 +753,7 @@ def c_i_density(V: OrthSpace, kappa: CosetLabel, i: int,
     for (classes, nf, pairs, f1, fm1), count in _census(F, n):
         if i not in classes or nf > 8:
             continue
-        cd = _class_data(V, n, pairs, f1, fm1, case, beta=delta, eps=eps)
+        cd = _class_data(V, pairs, f1, fm1, beta=delta, eps=eps)
         if cd.proportion and cd.spin == delta:
             total += 4 * count * cd.proportion
     return total
@@ -822,42 +768,48 @@ def random_element(V: OrthSpace, seed: int,
                    label: CosetLabel | None = None) -> OrthElem:
     """Deterministic pseudorandom element: a product of 4N random
     reflections, optionally steered into a requested coset by a final
-    multiplication with fixed reflections."""
+    multiplication with fixed reflections.
+
+    The product of 4N reflections has det +1, and its spin is the
+    product of the classes of <v,v> over its reflections (spin(r_v) =
+    class(<v,v>) and the spinor norm is multiplicative), so the coset
+    is known without computing det or spinor norm.  One reflection of
+    class label.spin / spin reaches det -1; two of different classes
+    flip the spin.  For N = 1, O(V) = {1, -1} meets only two cosets, and
+    a label of an empty coset raises ValueError.
+    """
     rng = random.Random(seed)
     F = V.field
     N = V.N
     out = identity_elem(V)
+    spin = SQUARE
     count = 0
     while count < 4 * N:
         v = tuple(rng.randrange(F.q) for _ in range(N))
-        if not any(v) or V.inner(v, v) == 0:
+        vv = V.inner(v, v)
+        if vv == 0:
             continue
         out = out * reflection(V, v)
+        spin = spin * F.square_class(vv)
         count += 1
-    if label is not None:
-        sq_vec, ns_vec = _spin_adjusters(V)
-        cur_det = out.det()
-        cur_spin = spinor_norm(out)
-        if cur_det != label.det:
-            # one reflection flips det; pick its spin class to make the
-            # remaining spin correction possible in pairs
-            vec = sq_vec if (cur_spin == label.spin) else ns_vec
-            out = out * reflection(V, vec)
-            cur_spin = spinor_norm(out)
-        if cur_spin != label.spin:
-            out = out * reflection(V, sq_vec) * reflection(V, ns_vec)
+    if label is None:
+        return out
+    steps = ([label.spin * spin] if label.det == -1
+             else [SQUARE, NONSQUARE] if label.spin != spin else [])
+    adjusters = _spin_adjusters(V)
+    if any(c not in adjusters for c in steps):
+        raise ValueError(f"O(V) has no element in the coset {label}")
+    for c in steps:
+        out = out * reflection(V, adjusters[c])
     return out
 
 
-def _spin_adjusters(V: OrthSpace):
-    """A square-norm and a nonsquare-norm anisotropic vector."""
-    sq_vec = ns_vec = None
+def _spin_adjusters(V: OrthSpace) -> dict:
+    """{class of <v,v>: the first candidate anisotropic vector v of that
+    class}, for each class that V represents (both when N >= 2)."""
+    found: dict = {}
     for v in _candidate_reflection_vectors(V):
-        sc = V.field.square_class(V.inner(v, v))
-        if sc == SQUARE and sq_vec is None:
-            sq_vec = v
-        elif sc == NONSQUARE and ns_vec is None:
-            ns_vec = v
-        if sq_vec is not None and ns_vec is not None:
-            return sq_vec, ns_vec
-    raise RuntimeError("could not find both spin classes among reflections")
+        found.setdefault(V.field.square_class(V.inner(v, v)), v)
+        if len(found) == 2:
+            break
+    return found

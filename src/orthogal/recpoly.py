@@ -29,8 +29,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, NotReciprocalError
-from .ffield import SquareClass, _is_prime, _prime_factors
-from .poly import Poly, QQ, discriminant, factor_degrees
+from .ffield import SquareClass, SQUARE, NONSQUARE, _is_prime, _prime_factors
+from .poly import Poly, QQ, discriminant, factor
 from .signedperm import _partitions
 
 
@@ -396,19 +396,51 @@ def _reachable_classes(n: int, relations: tuple = (),
     return frozenset(out)
 
 
+def _factor_types(h: Poly) -> tuple:
+    """Sorted (deg h_i, chi(h_i(2)), chi(h_i(-2))) over the monic
+    irreducible factors h_i of h in P_n over a finite field, with chi
+    the quadratic character as +-1."""
+    F = h.field
+    return tuple(sorted((hi.degree, F.square_class(hi.eval_int(2)).sign,
+                         F.square_class(hi.eval_int(-2)).sign)
+                        for hi, _ in factor(h)[1]))
+
+
+def _type_key(types, n: int, F) -> tuple:
+    """(classes, number of factors of f, (deg, e) pairs, class of f(1),
+    class of f(-1)) for f = T^n h(T + 1/T), from the factor types
+    (d, s, t) of h in P_n over F (_factor_types): all that the trace-form
+    readers (classify_H, in_F_class, orthfin's class proportions and
+    census) need of h.
+
+    e = s t is the character of h_i(2) h_i(-2), the norm of b^2 - 4 for
+    a root b of h_i, so e = +1 exactly when the roots a of
+    a^2 - b a + 1 lie in F(b): the lift of h_i then splits as [d, d],
+    and otherwise stays irreducible of degree 2d.  f(1) = h(2) and
+    f(-1) = (-1)^n h(-2), and h(+-2) is the product of the h_i(+-2)."""
+    pairs = tuple(sorted((d, s * t) for d, s, t in types))
+    hdeg = [d for d, _ in pairs]
+    fdeg = [k for d, e in pairs for k in ((d, d) if e == 1 else (2 * d,))]
+    f1 = math.prod(s for _, s, _ in types)
+    fm1 = (1 if F.q % 4 == 1 else -1) ** n * math.prod(t for _, _, t in types)
+    return (classes_from_degrees(hdeg, fdeg), len(fdeg), pairs,
+            SQUARE if f1 == 1 else NONSQUARE,
+            SQUARE if fm1 == 1 else NONSQUARE)
+
+
 def classify_H(h: Poly) -> set:
     """The set of class indices i in {1..6} with h in H_{n,i}.
 
     Empty when h fails the base-set conditions (separability or a
-    boundary zero).  Decided from the factor degree multisets of h and
-    of its lift f = T^n h(T+1/T).
+    boundary zero).  Decided by the factor types of h (_type_key), which
+    fix the factor degrees of its lift f = T^n h(T+1/T) without
+    factoring f.
     """
     if h.field is None:
         raise ValueError("classify_H works over a finite field")
     if not in_P_n(h):
         return set()
-    f = trace_lift(h)
-    return set(classes_from_degrees(factor_degrees(h), factor_degrees(f)))
+    return set(_type_key(_factor_types(h), h.degree, h.field)[0])
 
 
 def in_F_class(f: Poly, i: int, alpha: SquareClass, beta: SquareClass) -> bool:
@@ -416,7 +448,8 @@ def in_F_class(f: Poly, i: int, alpha: SquareClass, beta: SquareClass) -> bool:
 
     Requires f = T^n h(T+1/T) with h in H_{n,i}, boundary values
     f(1), f(-1) nonzero with the prescribed square classes, and at most
-    eight irreducible factors in f.
+    eight irreducible factors in f.  All of these are read from the
+    factor types of h (_type_key); f is not factored.
     """
     F = f.field
     if F is None:
@@ -427,13 +460,10 @@ def in_F_class(f: Poly, i: int, alpha: SquareClass, beta: SquareClass) -> bool:
         h = to_trace_form(f).h
     except NotReciprocalError:
         return False
-    if i not in classify_H(h):
+    if not in_P_n(h):
         return False
-    if F.square_class(f.eval_int(1)) != alpha:
-        return False
-    if F.square_class(f.eval_int(-1)) != beta:
-        return False
-    return len(factor_degrees(f)) <= 8
+    classes, nf, _, f1, fm1 = _type_key(_factor_types(h), h.degree, F)
+    return i in classes and f1 == alpha and fm1 == beta and nf <= 8
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,7 @@ def test_class_proportions_exact(q, N, disc):
     if N % 2 == 0:
         # full-dimensional classes: char poly f itself, det +1
         for f in _qualifying_lifts(F, N // 2):
-            cd = class_proportion(V, f, "even")
+            cd = class_proportion(V, f)
             key = tuple(f.coeffs)
             obs = census.get(key, {})
             want = _expected_count(cd.proportion, order)
@@ -110,18 +110,18 @@ def test_class_proportions_exact(q, N, disc):
                 key = tuple((f * two).coeffs)
                 obs = census.get(key, {})
                 for beta in (SQUARE, NONSQUARE):
-                    cd = class_proportion(V, f, "even2", beta=beta)
+                    cd = class_proportion(V, f, beta=beta)
                     want = _expected_count(cd.proportion, order)
                     assert obs.get((-1, beta.sign), 0) == want
                     accounted += want
-                both = class_proportion(V, f, "even2")
+                both = class_proportion(V, f)
                 assert sum(obs.values()) == \
                     _expected_count(both.proportion, order)
                 assert all(det == -1 for det, _ in obs)
     else:
         for f in _qualifying_lifts(F, (N - 1) // 2):
             for eps in (1, -1):
-                cd = class_proportion(V, f, "odd", eps=eps)
+                cd = class_proportion(V, f, eps=eps)
                 key = tuple((f * Poly([1, F.from_int(-eps)], F)).coeffs)
                 obs = census.get(key, {})
                 want = _expected_count(cd.proportion, order)

@@ -18,7 +18,7 @@ from orthogal.poly import (Poly, discriminant, factor_degrees, is_irreducible,
                            _factor_over_z, _pow_mod)
 from orthogal.recpoly import trace_lift, to_trace_form
 from orthogal.galclass import (primes_up_to, batch_factor_degrees,
-                               is_perfect_square, _squarefree_part,
+                               is_perfect_square,
                                KField, compute_K, group_constraint, classify,
                                chebotarev_validate)
 from orthogal.signedperm import WGroup
@@ -530,15 +530,6 @@ def test_is_perfect_square():
     assert not is_perfect_square(Fraction(2, 3))
 
 
-def test_squarefree_part():
-    assert _squarefree_part(1) == (1, True)
-    assert _squarefree_part(12) == (3, True)
-    assert _squarefree_part(-18) == (-2, True)
-    assert _squarefree_part(49) == (1, True)
-    big_prime = 1000003
-    assert _squarefree_part(4 * big_prime) == (big_prime, True)
-
-
 def test_compute_K():
     # P = T^4 + 3T^2 + 1: P(1) = P(-1) = 5, (-1)^2 * 25 = 25, a square
     K = compute_K(Poly([1, 0, 3, 0, 1]))
@@ -547,7 +538,7 @@ def test_compute_K():
     K2 = compute_K(Poly([1, -3, 1]))
     # N = 2: (-1)^1 * P(1)P(-1) = -(-1)(5) = 5
     assert not K2.is_rational and K2.radicand == 5
-    assert _squarefree_part(K2.radicand) == (5, True)
+    assert lfunc._squarefree_part(K2.radicand) == (5, True)
     assert str(K) == "Q" and str(K2) == "Q(sqrt(5))"
     with pytest.raises(ValueError):
         compute_K(Poly([1, 1, 1, 1]))      # odd degree
@@ -555,11 +546,9 @@ def test_compute_K():
         compute_K(Poly([-1, 0, 1]))        # P(1) = 0
 
 
-def test_compute_K_does_not_factor_the_radicand(monkeypatch):
-    def no_factoring(n, trial_bound=10 ** 6):
-        raise AssertionError("the radicand was factored")
-
-    monkeypatch.setattr(galclass, "_squarefree_part", no_factoring)
+def test_compute_K_does_not_factor_the_radicand():
+    # the package's one trial division lives in lfunc, for survey_delta
+    assert not hasattr(galclass, "_squarefree_part")
     # P(1) P(-1) = 2 (10^12 + 39): trial division would take 0.1-0.2 s
     K = compute_K(Poly([1, 10 ** 12 + 37, 1]))
     assert K.radicand == -(10 ** 12 + 39) * (-(10 ** 12 + 35))

@@ -731,6 +731,19 @@ def test_twist_family_size_closed_form(q):
     assert rep.family_size == _closed_form_family_size(q, 2, [1, 1])
 
 
+def test_squarefree_part():
+    sf = lfunc._squarefree_part
+    assert sf(1) == (1, True)
+    assert sf(12) == (3, True)
+    assert sf(-18) == (-2, True)
+    assert sf(49) == (1, True)
+    big_prime = 1000003
+    assert sf(4 * big_prime) == (big_prime, True)
+    # two primes above the trial bound: the cofactor is left unfactored
+    assert lfunc._TRIAL_BOUND < big_prime
+    assert sf(big_prime * 1000033) == (big_prime * 1000033, False)
+
+
 def test_survey_samples_the_enumerated_family():
     E = _legendre()
     rep = survey_delta(E, 2, sample=3, seed=11)

@@ -19,7 +19,8 @@ from orthogal.ffield import get_field, SQUARE, NONSQUARE
 from orthogal import orthfin
 from orthogal.poly import Poly, factor, factor_degrees
 from orthogal.recpoly import (strip, to_trace_form, classify_H, trace_lift,
-                              in_P_n, classes_from_degrees, _odd_prime_power)
+                              in_P_n, classes_from_degrees, _odd_prime_power,
+                              _factor_types, _type_key)
 from orthogal.orthfin import (OrthSpace, OrthElem, CosetLabel, ALL_COSETS,
                               enumerate_O, reflection, spinor_norm,
                               coset_label, identity_elem, class_proportion,
@@ -391,20 +392,22 @@ def test_class_proportion_validation():
     F = get_field(5)
     V = OrthSpace.canonical(F, 4, SQUARE)
     f = trace_lift(Poly([1, 1], F)) * trace_lift(Poly([0, 1], F))
-    with pytest.raises(ValueError):
-        class_proportion(V, Poly([1, 3, 1], F), "even")   # dim mismatch
-    with pytest.raises(ValueError):
-        class_proportion(V, f, "unknown-case")
+    g = trace_lift(Poly([1, 1], F))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        class_proportion(OrthSpace.canonical(F, 5, SQUARE), g)   # 5 - 2 = 3
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        class_proportion(OrthSpace.canonical(F, 3, SQUARE), f)   # 3 - 4 < 0
+    # dim V - deg f = 2: the (1 - T^2) f case, read from the dimensions
+    assert class_proportion(V, g).det == -1
     with pytest.raises(NotSeparableError):
         bad = trace_lift(Poly([1, 1], F)) ** 2
-        class_proportion(V, bad, "even")
+        class_proportion(V, bad)
     with pytest.raises(ValueError):
         # f(1) = 0
-        class_proportion(V, Poly([1, 2, 2, 2, 1], F), "even")
+        class_proportion(V, Poly([1, 2, 2, 2, 1], F))
     V3 = OrthSpace.canonical(F, 3, SQUARE)
-    g = Poly([1, 3, 1], F)
-    with pytest.raises(ValueError):
-        class_proportion(V3, g, "odd", eps=0)
+    with pytest.raises(ValueError, match="eps"):
+        class_proportion(V3, g, eps=0)
 
 
 def _brute_density(V, kappa, i):
@@ -478,29 +481,6 @@ def _factored_sign_pairs(h):
         for hi, _ in factors))
 
 
-@pytest.mark.parametrize("p,e,max_n", [(5, 1, 3), (7, 1, 3), (3, 2, 2)])
-def test_sign_pairs_match_factoring(p, e, max_n):
-    F = get_field(p, e)
-    checked = 0
-    for n in range(1, max_n + 1):
-        for row in _monic_rows(F.q, n):
-            h = Poly(row, F)
-            if not in_P_n(h):
-                continue
-            pairs = orthfin._sign_pairs(factor_degrees(h),
-                                        factor_degrees(trace_lift(h)))
-            assert pairs == _factored_sign_pairs(h), row
-            checked += 1
-    assert checked > 0
-
-
-def test_sign_pairs_reject_degrees_that_do_not_lift():
-    for hdeg, fdeg in [((1,), (1,)), ((1,), (1, 1, 1)), ((2,), (1, 3)),
-                       ((1, 1), (2, 1))]:
-        with pytest.raises(ArithmeticError):
-            orthfin._sign_pairs(hdeg, fdeg)
-
-
 @lru_cache(maxsize=None)
 def _qualifying_f(F, n):
     """(classes of h, f) for every f = T^n h(T+1/T) with h in P_n and at
@@ -534,13 +514,13 @@ def _per_h_densities(V, kappa, qualifying=None):
         qualifying = _qualifying_f(V.field, n)
     for classes, f in qualifying:
         if N % 2 == 1:
-            cd = class_proportion(V, f, "odd", eps=eps)
+            cd = class_proportion(V, f, eps=eps)
             hit = cd.spin == delta
         elif eps == -1:
-            cd = class_proportion(V, f, "even2", beta=delta)
+            cd = class_proportion(V, f, beta=delta)
             hit = True
         else:
-            cd = class_proportion(V, f, "even")
+            cd = class_proportion(V, f)
             hit = cd.spin == delta and cd.proportion
         if hit:
             for i in classes:
@@ -567,7 +547,8 @@ def test_c_i_density_matches_the_per_h_loop(p, e, Ns):
 def _scalar_census(F, rows):
     """The census of the monic h of the given coefficient rows that lie
     in P_n, by factoring each h and its lift f one Poly at a time: the
-    oracle for orthfin's closed-form census."""
+    oracle for orthfin's closed-form census.  Also checks, h by h, that
+    recpoly._type_key of the factor types of h gives the same key."""
     census = Counter()
     for row in rows:
         h = Poly(row, F)
@@ -575,10 +556,12 @@ def _scalar_census(F, rows):
             continue
         f = trace_lift(h)
         hdeg, fdeg = factor_degrees(h), factor_degrees(f)
-        census[(classes_from_degrees(hdeg, fdeg), len(fdeg),
-                orthfin._sign_pairs(hdeg, fdeg),
-                F.square_class(f.eval_int(1)),
-                F.square_class(f.eval_int(-1)))] += 1
+        key = (classes_from_degrees(hdeg, fdeg), len(fdeg),
+               _factored_sign_pairs(h),
+               F.square_class(f.eval_int(1)),
+               F.square_class(f.eval_int(-1)))
+        assert _type_key(_factor_types(h), h.degree, F) == key, row
+        census[key] += 1
     return census
 
 
@@ -696,3 +679,18 @@ def test_random_element_deterministic_and_steered():
         # unsteered draws are still valid group elements
         C = random_element(V, 123)
         OrthElem(C.matrix, V, check=True)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+@pytest.mark.parametrize("g", [SQUARE, NONSQUARE])
+def test_random_element_in_dimension_one(q, g):
+    # O(V) = {1, -1}: 1 in (1, Square), -1 = r_v in (-1, class(g))
+    V = OrthSpace.canonical(get_field(q), 1, g)
+    for label in ALL_COSETS:
+        if label in (CosetLabel(1, SQUARE), CosetLabel(-1, g)):
+            for seed in range(3):
+                A = random_element(V, seed, label)
+                assert coset_label(A) == label
+        else:
+            with pytest.raises(ValueError, match="no element"):
+                random_element(V, 0, label)

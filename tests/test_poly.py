@@ -7,12 +7,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from orthogal.ffield import get_field, _poly_mul_mod_p, _poly_rem_mod_p
 from orthogal.poly import (Poly, factor, factor_degrees, is_irreducible,
                            resultant, discriminant, squarefree_decomposition,
                            poly_from_string, poly_to_string)
+from orthogal.recpoly import _trace_coeffs, to_trace_form, trace_lift
 
 
 def _rand_poly(rng, field, deg, int_range=6):
@@ -133,6 +134,32 @@ def test_reduction_into_f_q_commutes_with_the_arithmetic(pe, f, g, as_int64):
             == Poly.from_int_coeffs(a, F) + Poly.from_int_coeffs(b, F))
     assert (Poly.from_int_coeffs(product.coeffs, F)
             == Poly.from_int_coeffs(a, F) * Poly.from_int_coeffs(b, F))
+
+
+_REDUCTIONS = st.sampled_from([(3, 1), (2 ** 31 + 11, 1), (5, 2)])
+
+
+@_PROPERTIES
+@given(_REDUCTIONS, _INT64_COEFFS)
+def test_reduction_into_f_q_commutes_with_trace_lift(pe, h):
+    F = get_field(*pe)
+    assume(h[-1] % F.p)        # the reduction keeps the degree of h
+    assert (Poly.from_int_coeffs(trace_lift(Poly(h)).coeffs, F)
+            == trace_lift(Poly.from_int_coeffs(h, F)))
+
+
+@_PROPERTIES
+@given(_REDUCTIONS, st.lists(st.integers(-2 ** 62, 2 ** 62), min_size=2,
+                             max_size=5))
+def test_reduction_into_f_q_commutes_with_the_trace_form(pe, half):
+    F = get_field(*pe)
+    cs = half + half[-2::-1]           # palindromic, of degree 2 (len - 1)
+    # coefficient by coefficient: a zero top coefficient mod p is kept
+    assert ([F.from_int(c) for c in _trace_coeffs(cs)]
+            == _trace_coeffs([F.from_int(c) for c in cs], F))
+    monic = [1] + cs[1:-1] + [1]
+    assert (Poly.from_int_coeffs(to_trace_form(Poly(monic)).h.coeffs, F)
+            == to_trace_form(Poly.from_int_coeffs(monic, F)).h)
 
 
 @pytest.mark.parametrize("ring", [get_field(3), get_field(5, 2)])

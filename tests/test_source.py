@@ -12,6 +12,9 @@
   ``__init__.py``, whose imports are the package's re-exports;
 * ``orthfin`` imports nothing from ``galclass``: its trace-form census
   is counted in closed form, with no row kernel behind it;
+* ``orthfin`` and ``recpoly`` do not read ``factor_degrees``: every
+  trace-form reader takes the factor degrees of a lift from the factor
+  types of h (``recpoly._type_key``), and no lift is factored;
 * the polynomial arithmetic of ``poly`` and ``recpoly`` does not branch
   on its coefficient field: Q and F_q share one scalar interface
   (``Poly.ring``), and only the finite-field entry points, the
@@ -139,6 +142,22 @@ def test_orthfin_does_not_import_galclass():
              if any("galclass" in name.split(".")
                     for name in _imported_modules(node))]
     assert not found, f"galclass imported in orthfin: {found}"
+
+
+def _reads_factor_degrees(node) -> bool:
+    """An import of factor_degrees, or an attribute read X.factor_degrees."""
+    return (any(mod.split(".")[-1] == "factor_degrees"
+                for mod in _imported_modules(node))
+            or (isinstance(node, ast.Attribute)
+                and node.attr == "factor_degrees"))
+
+
+def test_trace_form_readers_do_not_import_factor_degrees():
+    found = [f"{name}:{node.lineno}"
+             for name in ("orthfin.py", "recpoly.py")
+             for node in ast.walk(ast.parse((SOURCE_DIR / name).read_text()))
+             if _reads_factor_degrees(node)]
+    assert not found, f"factor_degrees read by a trace-form reader: {found}"
 
 
 FIELD_BRANCHES_ALLOWED = {"__init__", "__repr__", "__mul__",
