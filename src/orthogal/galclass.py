@@ -53,7 +53,6 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import NotSeparableError
 from .poly import Poly, discriminant, _factor_over_z
@@ -105,25 +104,36 @@ def primes_up_to(bound: int):
 # through the same gcd kernel against f, as many levels per call as fit
 # in BLOCK_ROWS rows (_level_gcd_degrees): one call for a small block.
 #
-# Each square of the chain is one product by the Toeplitz matrix of a
-# factor (_mulmod) and one reduction low + high @ R by the per-block
-# table R of x^d, ..., x^(2d-2) mod f; the Frobenius matrix x^(i l) mod f
-# is built by doubling.
+# Each square of the chain is one batched matmul by the Toeplitz matrix
+# of a factor, gathered from the factor padded with one zero (_mulmod),
+# and one reduction low + high @ R by the per-block table R of x^d, ...,
+# x^(2d-2) mod f; the Frobenius matrix x^(i l) mod f is built by doubling,
+# and each chain step is one batched matmul by it.  The gcd kernel keeps
+# its coefficients coefficient-major, (d + 1, R), so the narrowing views
+# are contiguous and f~(0), g~(0) are whole rows (_batch_gcd_degrees).
 
 # Overflow: inputs stay reduced into [0, l) for their row prime l, and
 # every int64 sum before the next reduction is bounded as follows
-# (d = deg f >= 2 wherever a chain is run; rows hold d coefficients):
-#   * _mulmod's product: a coefficient of a b sums at most d non-zero
-#     products of reduced values, <= d (l - 1)^2;
-#   * _mulmod's reduction low + high @ R: one reduced value plus d - 1
-#     products, <= (l - 1) + (d - 1) (l - 1)^2;
+# (d = deg f >= 2 wherever a chain is run; rows hold d coefficients).
+# Integer matmul sums its products in int64 as they come, and every
+# product of reduced values is >= 0, so no partial sum exceeds the
+# whole one:
+#   * _mulmod's product a @ T: coefficient c of a b sums a[i] T[i, c] =
+#     a[i] b[c - i] over i < d, and the gathered T is zero outside 0 <=
+#     c - i < d, so at most d products of reduced values, <= d (l - 1)^2;
+#   * _mulmod's reduction low + high @ R: the matmul sums d - 1 products
+#     of reduced values, and one reduced value is added after it,
+#     <= (l - 1) + (d - 1) (l - 1)^2;
 #   * _mulx (x a mod f, the table R and the multiply step): a shifted
 #     reduced value plus one product, <= (l - 1) + (l - 1)^2;
 #   * the start y = x + x^(-1): two reduced values, <= 2 (l - 1);
-#   * the chain step s @ M: d products, <= d (l - 1)^2;
-#   * _vec_powmod and the divstep difference f~(0) g~ - g~(0) f~ of
-#     _batch_gcd_degrees: one product, or the difference of two, of
-#     reduced values, below (l - 1)^2 in absolute value.
+#   * the chain step s @ M: a matmul of d products, <= d (l - 1)^2;
+#   * _vec_powmod: one product of reduced values, <= (l - 1)^2;
+#   * the divsteps of _batch_gcd_degrees: each entry of f~(0) g~ - g~(0)
+#     f~ is the difference of two products of reduced values, each in
+#     [0, (l - 1)^2], so it lies in [-(l - 1)^2, (l - 1)^2] before the
+#     row's reduction; the coefficient-major layout changes which
+#     entries share a buffer, not any sum.
 # As l - 1 <= (l - 1)^2 and d >= 2, each is at most d (l - 1)^2, and the
 # kernel is exact when d (l - 1)^2 < 2^63; its callers refuse larger
 # primes (_check_kernel_prime).
@@ -178,23 +188,31 @@ def _reduction_table(C, m):
     return R
 
 
+@functools.lru_cache(maxsize=32)
+def _toeplitz_index(d: int):
+    """(d, 2d - 1) gather index of the Toeplitz matrix of a factor b of d
+    coefficients: entry (i, c) is c - i where 0 <= c - i < d, else d,
+    which reads the zero that _mulmod pads b with.  Shared between calls,
+    so it is read-only."""
+    diff = np.arange(2 * d - 1) - np.arange(d)[:, None]
+    idx = np.where((diff >= 0) & (diff < d), diff, d)
+    idx.flags.writeable = False
+    return idx
+
+
 def _mulmod(a, b, R, m):
     """a b mod f for reduced rows a (..., P, d) and b (P, d); R from
     _reduction_table.
 
-    The product is one einsum of a with the Toeplitz matrix of b,
-    T[i, c] = b[c - i] (zero unless 0 <= c - i < d): a strided view of
-    b padded with d - 1 zeros on each side, read with stride -1 along i.
-    Its top d - 1 coefficients are then reduced by one einsum with R."""
+    The product is one batched matmul of a with the Toeplitz matrix of
+    b, T[i, c] = b[c - i] (zero unless 0 <= c - i < d), gathered from b
+    padded with one zero (_toeplitz_index).  Its top d - 1 coefficients
+    are then reduced by one batched matmul with R."""
     d = b.shape[-1]
-    pad = np.zeros((len(b), 3 * d - 2), dtype=np.int64)
-    pad[:, d - 1:2 * d - 1] = b
-    mid = pad[:, d - 1:]
-    step = pad.itemsize
-    T = as_strided(mid, (len(b), d, 2 * d - 1), (pad.strides[0], -step, step),
-                   writeable=False)
-    prod = np.einsum("...pi,pic->...pc", a, T) % m[:, None]
-    out = prod[..., :d] + np.einsum("...pi,pij->...pj", prod[..., d:], R)
+    pad = np.zeros((len(b), d + 1), dtype=np.int64)
+    pad[:, :d] = b
+    prod = (a[..., None, :] @ pad[:, _toeplitz_index(d)]) % m[:, None, None]
+    out = prod[..., 0, :d] + (prod[..., d:] @ R)[..., 0, :]
     out %= m[:, None]
     return out
 
@@ -230,11 +248,12 @@ def _batch_frobenius_chains(C, primes, kmax, V):
         end = min(2 * b + 1, d)
         M[b + 1:end] = _mulmod(M[1:end - b], M[b], R, m)
         b *= 2
-    # chains: s_{k+1} = Frobenius(s_k), linear in the coefficients
+    # chains: s_{k+1} = Frobenius(s_k) = s_k @ M, one matmul per row
+    M = M.transpose(1, 0, 2)            # (P, d, d): row i is x^(i l)
     out = np.empty((kmax,) + V.shape, dtype=np.int64)
     s = V
     for k in range(kmax):
-        s = np.einsum("...pi,ipj->...pj", s, M) % m[:, None]
+        s = (s[..., None, :] @ M)[..., 0, :] % m[:, None]
         out[k] = s
     return out
 
@@ -275,35 +294,38 @@ def _batch_gcd_degrees(F, G, m):
     f~(0) and g~(0).  A step maps the coefficients j >= 1 of (f~, g~) to
     coefficients >= j - 1, so once s steps are done the 2d - 1 - s steps
     left read only the low 2d - 1 - s coefficients; and f~, g~ have
-    degree <= d throughout.  So step s (from 0) works on views of width
-    min(d + 1, 2d - 1 - s) of four buffers allocated once.  The
-    difference f~(0) g~ - g~(0) f~ of reduced values is below (l - 1)^2
-    in absolute value before its reduction.
+    degree <= d throughout.  So step s (from 0) works on the first
+    min(d + 1, 2d - 1 - s) rows of four coefficient-major (d + 1, R)
+    buffers allocated once: row j holds the x^j coefficient of every
+    pair, so each narrowing view is contiguous, f~(0) and g~(0) are
+    whole rows and the moduli m broadcast along them.  The rows come in
+    row-major and are transposed once on entry.  The difference f~(0)
+    g~ - g~(0) f~ of reduced values is at most (l - 1)^2 in absolute
+    value before its reduction.
     """
     R, d = F.shape[0], F.shape[1] - 1
     if (F[:, d] % m == 0).any() | G[:, d:].any():
         raise ValueError("need f of exact degree d and deg g < d in "
                          "every row")
-    f = F[:, ::-1].copy()
+    f = F.T[::-1].copy()                # f[j] is the x^j coefficient of f~
     g = np.zeros_like(f)
     width = min(d, G.shape[1])          # G's columns from d on are zero
-    g[:, d - width:d] = G[:, :width][:, ::-1]
+    g[d - width:d] = G[:, :width].T[::-1]
     t, u = np.empty_like(f), np.empty_like(f)
-    mc = m[:, None]
     delta = np.ones(R, dtype=np.int64)
     for s in range(2 * d - 1):
         w = min(d + 1, 2 * d - 1 - s)
-        fs, gs, ts, us = f[:, :w], g[:, :w], t[:, :w], u[:, :w]
-        swap = (delta > 0) & (gs[:, 0] != 0)
-        np.multiply(gs, fs[:, :1], out=ts)
-        np.multiply(fs, gs[:, :1], out=us)
+        fs, gs, ts, us = f[:w], g[:w], t[:w], u[:w]
+        swap = (delta > 0) & (gs[0] != 0)
+        np.multiply(gs, fs[0], out=ts)
+        np.multiply(fs, gs[0], out=us)
         ts -= us
-        ts %= mc
-        np.copyto(fs, gs, where=swap[:, None])
+        ts %= m
+        np.copyto(fs, gs, where=swap)
         np.negative(delta, out=delta, where=swap)
         delta += 1
-        gs[:, :w - 1] = ts[:, 1:]
-        gs[:, w - 1] = 0
+        gs[:w - 1] = ts[1:]
+        gs[w - 1] = 0
     return delta >> 1
 
 
@@ -611,16 +633,24 @@ def group_constraint(N: int, eps: int,
 # ---------------------------------------------------------------------------
 
 
-def _prime_blocks(primes, bad_num: int):
-    """The primes not dividing bad_num, in blocks cut from the first 32,
-    the next 224, then each block twice the one before, at most
-    BLOCK_ROWS."""
+def _prime_blocks(primes):
+    """The primes in blocks of the first 32, the next 224, then each
+    block twice the one before, at most BLOCK_ROWS.
+
+    No prime is filtered here.  classify's core f is reciprocal with
+    f(1) f(-1) != 0, so it is palindromic of even degree 2n, and int_f =
+    den_f f is integral.  An odd prime l that divides den_f f(1) f(-1)
+    is degenerate in _good_monic_rows, and the kernel gives (None, None)
+    there: either l | den_f = lc(int_f), or l divides int_f(1) or
+    int_f(-1).  Differentiating int_f(x) = x^(2n) int_f(1/x) at x = 1
+    and x = -1 gives 2 int_f'(1) = 2n int_f(1) and 2 int_f'(-1) = -2n
+    int_f(-1), so with l odd that root of int_f mod l is double and l
+    divides disc(int_f)."""
     start, size = 0, 32
     while start < len(primes):
-        block = primes[start:start + size]
+        yield primes[start:start + size]
         start += size
         size = 224 if start == 32 else min(2 * size, BLOCK_ROWS)
-        yield block[[bad_num % int(ell) != 0 for ell in block]]
 
 
 def _rational_parts(int_f, int_h, rows) -> tuple:
@@ -738,9 +768,7 @@ def classify(P: Poly, prime_budget: int = 10 ** 4) -> GaloisCertificate:
 
     if f.degree < 2:
         return reject("stripped core is constant")
-    f1 = f(1)
-    fm1 = f(-1)
-    if f1 == 0 or fm1 == 0:
+    if f(1) == 0 or f(-1) == 0:
         return reject("boundary root: f(1) f(-1) = 0")
     int_f, den_f = _clear_denominators(f)
     disc_f = _int_discriminant(tuple(int_f))      # from disc(h)
@@ -757,7 +785,6 @@ def classify(P: Poly, prime_budget: int = 10 ** 4) -> GaloisCertificate:
     # out the patterns whose parities do not fit
     reachable = _reachable_classes(n, _square_relations(
         [_int_discriminant(int_h), _boundary_product(int_h)]))
-    bad_num = abs(f1.numerator * fm1.numerator) * den_f
     witnesses: dict = {}
     needed = {1, 2, 3, 4, 5}
     even_plus = (N % 2 == 0 and sp.epsilon == 1)
@@ -767,7 +794,7 @@ def classify(P: Poly, prime_budget: int = 10 ** 4) -> GaloisCertificate:
     # witness of every class that can still appear, as a full scan would.
     goal = wanted if wanted <= reachable else reachable
     primes = primes_up_to(prime_budget)
-    for index, block in enumerate(_prime_blocks(primes[primes > 2], bad_num)):
+    for index, block in enumerate(_prime_blocks(primes[primes > 2])):
         if index == 1 and not goal <= witnesses.keys():
             # The first block left the goal open: factor h and the lifts
             # of its factors over Q.  With h reducible no prime shows

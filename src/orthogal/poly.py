@@ -355,7 +355,11 @@ def resultant(f: Poly, g: Poly):
 
 
 def discriminant(f: Poly):
-    """disc(f) = (-1)^(d(d-1)/2) * Res(f, f') / lc(f)."""
+    """disc(f) = (-1)^(d(d-1)/2) * Res(f, f') / lc(f), with Res(f, f')
+    taken at the formal degree d - 1 of f'.  Over F_p with p | d, f'
+    has degree d - 1 - k for some k >= 1, and the resultant at its
+    formal degree is lc(f)^k Res(f, f'), so disc commutes with reduction
+    mod every p that does not divide lc(f)."""
     if f.is_zero():
         raise ValueError("discriminant of the zero polynomial")
     d = f.degree
@@ -365,7 +369,8 @@ def discriminant(f: Poly):
     if fp.is_zero():
         return 0
     R = f.ring
-    val = R.div(resultant(f, fp), f.lc)
+    res = R.mul(R.pow(f.lc, d - 1 - fp.degree), resultant(f, fp))
+    val = R.div(res, f.lc)
     return R.neg(val) if (d * (d - 1) // 2) % 2 else val
 
 

@@ -9,7 +9,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from numpy.lib.stride_tricks import as_strided
 
+from test_poly import _PROPERTIES
 from orthogal import galclass, lfunc
 from orthogal.errors import (BudgetExceededError, NotReciprocalError,
                              NotSeparableError)
@@ -200,6 +203,35 @@ def _former_batch_gcd_degrees(A, B, m):
             lead = (A[:, 0] == 0) & (da >= 0)
 
 
+def _row_major_divsteps(F, G, m):
+    """deg gcd(f, g) for each row pair, as _batch_gcd_degrees takes them:
+    its former body, the same 2d - 1 divsteps on row-major (R, d + 1)
+    buffers, where the narrowing views are strided and f~(0), g~(0) are
+    columns."""
+    R, d = F.shape[0], F.shape[1] - 1
+    f = F[:, ::-1].copy()
+    g = np.zeros_like(f)
+    width = min(d, G.shape[1])
+    g[:, d - width:d] = G[:, :width][:, ::-1]
+    t, u = np.empty_like(f), np.empty_like(f)
+    mc = m[:, None]
+    delta = np.ones(R, dtype=np.int64)
+    for s in range(2 * d - 1):
+        w = min(d + 1, 2 * d - 1 - s)
+        fs, gs, ts, us = f[:, :w], g[:, :w], t[:, :w], u[:, :w]
+        swap = (delta > 0) & (gs[:, 0] != 0)
+        np.multiply(gs, fs[:, :1], out=ts)
+        np.multiply(fs, gs[:, :1], out=us)
+        ts -= us
+        ts %= mc
+        np.copyto(fs, gs, where=swap[:, None])
+        np.negative(delta, out=delta, where=swap)
+        delta += 1
+        gs[:, :w - 1] = ts[:, 1:]
+        gs[:, w - 1] = 0
+    return delta >> 1
+
+
 # small primes and the largest primes the chain kernel takes at degrees
 # 10 and 16; the divstep kernel's intermediates stay below (l - 1)^2, so
 # both are exact at every degree
@@ -210,9 +242,12 @@ _GCD_TEST_PRIMES = [3, 5, 7, 9973,
 
 @pytest.mark.parametrize("d", range(1, 17))
 def test_batch_gcd_degrees_matches_the_former_euclid(d):
+    # against Poly.gcd, the masked Euclid and the row-major divsteps, also
+    # at the three largest primes that the overflow bound allows at d
     rng = random.Random(100 + d)
     fs, gs, ms = [], [], []
-    for ell in _GCD_TEST_PRIMES:
+    for ell in (_GCD_TEST_PRIMES
+                + _primes_below(galclass._max_kernel_prime(d), 3)):
         F = get_field(ell)
         pairs = []
         for k in range(d + 1):      # a planted common factor of degree k
@@ -237,6 +272,7 @@ def test_batch_gcd_degrees_matches_the_former_euclid(d):
     got = galclass._batch_gcd_degrees(Fr, Gr, m)
     assert got.tolist() == [f.gcd(g).degree for f, g in zip(fs, gs)]
     assert (got == _former_batch_gcd_degrees(Fr, Gr, m)).all()
+    assert (got == _row_major_divsteps(Fr, Gr, m)).all()
 
 
 def test_batch_gcd_degrees_refuses_rows_outside_its_contract():
@@ -358,6 +394,24 @@ def _frobenius_chains_oracle(C, primes, kmax):
     return out
 
 
+def _einsum_mulmod(a, b, R, m):
+    """a b mod f as _mulmod takes them: its former body, one einsum with
+    a strided view of b padded with d - 1 zeros on each side as the
+    Toeplitz matrix T[i, c] = b[c - i], read with stride -1 along i, and
+    one einsum with R for the top d - 1 coefficients."""
+    d = b.shape[-1]
+    pad = np.zeros((len(b), 3 * d - 2), dtype=np.int64)
+    pad[:, d - 1:2 * d - 1] = b
+    mid = pad[:, d - 1:]
+    step = pad.itemsize
+    T = as_strided(mid, (len(b), d, 2 * d - 1), (pad.strides[0], -step, step),
+                   writeable=False)
+    prod = np.einsum("...pi,pic->...pc", a, T) % m[:, None]
+    out = prod[..., :d] + np.einsum("...pi,pij->...pj", prod[..., d:], R)
+    out %= m[:, None]
+    return out
+
+
 def _primes_below(bound, count):
     out = []
     ell = bound
@@ -373,6 +427,36 @@ def _kernel_test_primes(d):
     return np.array([3, 5, 7, 11, 101, 9973]
                     + _primes_below(galclass._max_kernel_prime(d), 3),
                     dtype=np.int64)
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_mulmod_matches_the_einsum_product(d):
+    # against the former einsum product and Poly arithmetic, with a batch
+    # of two factors a per row as in the doubling of the Frobenius matrix
+    rng = random.Random(300 + d)
+    primes = _kernel_test_primes(d)
+    for extreme in (False, True):
+        # extreme rows have every coefficient l - 1, the largest sums
+        def draw(ell):
+            return ell - 1 if extreme else rng.randrange(ell)
+        C = np.array([[draw(ell) for _ in range(d)] + [1]
+                      for ell in primes.tolist()], dtype=np.int64)
+        a = np.array([[[draw(ell) for _ in range(d)]
+                       for ell in primes.tolist()] for _ in range(2)],
+                     dtype=np.int64)
+        b = np.array([[draw(ell) for _ in range(d)]
+                      for ell in primes.tolist()], dtype=np.int64)
+        R = (galclass._reduction_table(C, primes) if d >= 2
+             else np.zeros((len(primes), 0, 1), dtype=np.int64))
+        got = galclass._mulmod(a, b, R, primes)
+        assert got.shape == a.shape
+        assert (got == _einsum_mulmod(a, b, R, primes)).all()
+        for row, ell in enumerate(primes.tolist()):
+            F = get_field(ell)
+            want = (Poly(a[1, row].tolist(), F) * Poly(b[row].tolist(), F)
+                    % Poly(C[row].tolist(), F))
+            assert got[1, row].tolist() == (list(want.coeffs)
+                                            + [0] * (d - len(want.coeffs)))
 
 
 @pytest.mark.parametrize("d", range(2, 13))
@@ -466,6 +550,56 @@ def test_one_pass_matches_two_kernel_calls(n):
             _assert_matches_single_prime(int_f, ells, fts)
             _assert_matches_single_prime(int_h, ells, hts)
     assert degenerate and checked
+
+
+_ODD_PRIMES = [int(p) for p in primes_up_to(10 ** 4) if p > 2]
+_SMALL_ROW_PRIMES = st.lists(st.sampled_from(_ODD_PRIMES), min_size=1,
+                             max_size=4, unique=True)
+_BIG_INTS = st.integers(-2 ** 70, 2 ** 70)
+
+
+def _row_kernel_primes(small, d):
+    """The drawn primes below 10^4 and the two largest primes that the
+    overflow bound allows at degree d."""
+    return small + _primes_below(galclass._max_kernel_prime(d), 2)
+
+
+@_PROPERTIES
+@given(st.lists(_BIG_INTS, min_size=1, max_size=9), _BIG_INTS.filter(bool),
+       _SMALL_ROW_PRIMES)
+def test_factor_degree_rows_match_the_reduction(low, lead, small):
+    int_f = low + [lead]
+    d = len(low)
+    primes = _row_kernel_primes(small, d)
+    gidx, C, m = galclass._good_monic_rows(int_f, primes)
+    got = dict(zip(gidx, galclass._factor_degree_rows(C, m)))
+    for index, ell in enumerate(primes):
+        f = Poly.from_int_coeffs(int_f, get_field(ell))
+        if f.degree == d and f.is_squarefree():
+            assert got[index] == tuple(factor_degrees(f.monic())), ell
+        else:
+            assert index not in got, ell
+
+
+@_PROPERTIES
+@given(st.lists(_BIG_INTS, min_size=1, max_size=5), _BIG_INTS.filter(bool),
+       _SMALL_ROW_PRIMES)
+def test_lift_degree_rows_match_the_reduction(low, lead, small):
+    h = Poly(low + [lead])
+    n = h.degree
+    int_f = [int(c) for c in trace_lift(h).coeffs]
+    primes = _row_kernel_primes(small, 2 * n)
+    gidx, C, m = galclass._good_monic_rows(int_f, primes)
+    got = dict(zip(gidx, galclass._lift_degree_rows(C, m)))
+    for index, ell in enumerate(primes):
+        F = get_field(ell)
+        f = Poly.from_int_coeffs(int_f, F)
+        if f.degree == 2 * n and f.is_squarefree():
+            hq = Poly.from_int_coeffs(h.coeffs, F)
+            assert got[index] == (tuple(factor_degrees(f.monic())),
+                                  tuple(factor_degrees(hq.monic()))), ell
+        else:
+            assert index not in got, ell
 
 
 def _validator_corpus():

@@ -162,6 +162,32 @@ def test_reduction_into_f_q_commutes_with_the_trace_form(pe, half):
             == to_trace_form(Poly.from_int_coeffs(monic, F)).h)
 
 
+@_PROPERTIES
+@given(_REDUCTIONS, _INT64_COEFFS, _INT64_COEFFS)
+def test_reduction_into_f_q_commutes_with_divmod_and_derivative(pe, f, d):
+    F = get_field(*pe)
+
+    def reduce(a):
+        return Poly.from_int_coeffs(a.coeffs, F)
+
+    a, monic = Poly(f), Poly(d + [1])
+    quo, rem = a.divmod(monic)
+    assert (reduce(quo), reduce(rem)) == reduce(a).divmod(reduce(monic))
+    assert reduce(a.derivative()) == reduce(a).derivative()
+
+
+@_PROPERTIES
+@given(_REDUCTIONS, _INT64_COEFFS, _INT64_COEFFS)
+def test_reduction_into_f_q_commutes_with_resultant_and_discriminant(pe, f,
+                                                                     g):
+    F = get_field(*pe)
+    assume(f[-1] % F.p and g[-1] % F.p)   # both keep their degrees mod p
+    fq, gq = Poly.from_int_coeffs(f, F), Poly.from_int_coeffs(g, F)
+    assert F.from_int(resultant(Poly(f), Poly(g))) == resultant(fq, gq)
+    if len(f) > 1:
+        assert F.from_int(discriminant(Poly(f))) == discriminant(fq)
+
+
 @pytest.mark.parametrize("ring", [get_field(3), get_field(5, 2)])
 def test_gcd_divides_and_detects_common_factor(ring):
     rng = random.Random(11)
@@ -384,6 +410,11 @@ def test_discriminant_reduction_mod_p():
             dz = discriminant(f)
             fq = Poly.from_int_coeffs(list(f.coeffs), F)
             assert discriminant(fq) == int(dz) % q
+    # p | deg f: f' mod 3 = 2x drops from degree 2 to 1, and the
+    # resultant is taken at the formal degree, as over Z
+    f = Poly([1, 0, 1, 2])
+    assert discriminant(f) == -112
+    assert discriminant(Poly.from_int_coeffs(f.coeffs, get_field(3))) == 2
 
 
 def test_eval_reverse_shift_compose():

@@ -19,7 +19,11 @@
   on its coefficient field: Q and F_q share one scalar interface
   (``Poly.ring``), and only the finite-field entry points, the
   constructor, ``__repr__`` and ``__mul__``'s prime-field reduction
-  test for ``field=None``."""
+  test for ``field=None``;
+* ``as_strided`` and ``numpy.lib.stride_tricks`` appear nowhere under
+  ``src/``: the Toeplitz matrix of ``galclass._mulmod``, gathered
+  through an index array, is the package's one product path, and no
+  view reads memory that its strides were not checked against."""
 
 import ast
 from pathlib import Path
@@ -193,3 +197,11 @@ def test_poly_arithmetic_does_not_branch_on_the_field():
                   for line, function in _field_branches(tree)
                   if function not in FIELD_BRANCHES_ALLOWED]
     assert not found, f"field=None branches in the arithmetic: {found}"
+
+
+def test_no_strided_views_in_the_package():
+    found = [f"{p.relative_to(SOURCE_DIR.parent)}:{line}"
+             for p in sorted(SOURCE_DIR.parent.rglob("*.py"))
+             for line, text in enumerate(p.read_text().splitlines(), 1)
+             if "as_strided" in text or "stride_tricks" in text]
+    assert not found, f"strided views in the package: {found}"
